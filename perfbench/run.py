@@ -4,9 +4,9 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Builds perfbench/ompc_bench from source (once per checkout, in
-$CARGO_TARGET_DIR or .bench_build), then runs repetitions of one workload,
-each in its own process under a wall-clock timeout, until S seconds have
-passed. Every repetition is checked against the workload's serial oracle; a
+$CARGO_TARGET_DIR or .bench_build), then runs repetitions of one workload
+(or of each in turn with --workload all), each in its own process under a
+wall-clock timeout, until S seconds have passed. Every repetition is checked against the workload's serial oracle; a
 repetition that fails validation, throws, crashes or times out counts all
 its waves as failed. The last line of stdout is one JSON object:
 
@@ -178,30 +178,10 @@ def reference_rows(binary, a):
     return json.loads(lines[-1])
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--short", action="store_true",
-                    help="small inputs (smoke test)")
-    ap.add_argument("--min-reps", type=int, default=3)
-    ap.add_argument("--wrong-oracle", action="store_true",
-                    help="check against a deliberately wrong oracle")
-    ap.add_argument("--inject", choices=("hang", "throw"),
-                    help="make every repetition hang or throw")
-    ap.add_argument("--rep-timeout", type=float, default=REP_TIMEOUT_S)
-    a = ap.parse_args()
-
-    try:
-        e2e_units, layer_units = load_spec()
-        binary = build()
-    except (OSError, ValueError, KeyError, RuntimeError) as e:
-        log("cannot set up the benchmark: %s" % e)
-        return 2
-
-    common = ["--workload", a.workload, "--seed", str(a.seed)]
+def run_workload(a, workload, binary, e2e_units, layer_units):
+    """Runs one workload for a.seconds, prints its block and returns
+    (correct, attempted, failed, metrics)."""
+    common = ["--workload", workload, "--seed", str(a.seed)]
     if a.short:
         common.append("--short")
     if a.wrong_oracle:
@@ -210,7 +190,7 @@ def main():
         common += ["--inject", a.inject]
 
     reference = None
-    if a.workload == "taskbench_fft":
+    if workload == "taskbench_fft":
         reference = reference_rows(binary, a)
 
     trace_dir = os.path.join(build_dir(), "traces")
@@ -231,7 +211,7 @@ def main():
                          "--trace", "1" if traced_rep else "0"]
         if traced_rep:
             path = os.path.join(trace_dir, "%s-seed%d-rep%d.json"
-                                % (a.workload, a.seed, rep))
+                                % (workload, a.seed, rep))
             args += ["--trace-out", path]
             trace_files.append(path)
         result, planned = run_rep(binary, args, a.rep_timeout)
@@ -249,14 +229,14 @@ def main():
     trace_path = None
     if trace_files:
         trace_path = os.path.join(trace_dir, "%s-seed%d.trace.json"
-                                  % (a.workload, a.seed))
+                                  % (workload, a.seed))
         merge_traces(trace_files, trace_path)
 
     ok_reps = plain + traced
     correct = failed == 0 and bool(ok_reps) and (not a.trace or bool(traced))
     print("workload %s  seed %d  repetitions %d (%d traced)  waves %d  "
           "failed %d  error_rate %.4f"
-          % (a.workload, a.seed, rep, len(traced), attempted, failed,
+          % (workload, a.seed, rep, len(traced), attempted, failed,
              failed / max(attempted, 1)))
     metrics = {}
     if ok_reps:
@@ -300,6 +280,45 @@ def main():
         elif not a.trace:
             metrics = {n: {"value": e2e[n], "unit": u}
                        for n, u in e2e_units.items()}
+    return correct, attempted, failed, metrics
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--workload", required=True,
+                    choices=WORKLOADS + ("all",),
+                    help="one workload, or all of them in turn")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--short", action="store_true",
+                    help="small inputs (smoke test)")
+    ap.add_argument("--min-reps", type=int, default=3)
+    ap.add_argument("--wrong-oracle", action="store_true",
+                    help="check against a deliberately wrong oracle")
+    ap.add_argument("--inject", choices=("hang", "throw"),
+                    help="make every repetition hang or throw")
+    ap.add_argument("--rep-timeout", type=float, default=REP_TIMEOUT_S)
+    a = ap.parse_args()
+
+    try:
+        e2e_units, layer_units = load_spec()
+        binary = build()
+    except (OSError, ValueError, KeyError, RuntimeError) as e:
+        log("cannot set up the benchmark: %s" % e)
+        return 2
+
+    every = a.workload == "all"
+    correct, attempted, failed, metrics = True, 0, 0, {}
+    for w in WORKLOADS if every else (a.workload,):
+        ok, att, fail, met = run_workload(a, w, binary, e2e_units,
+                                          layer_units)
+        correct = correct and ok
+        attempted += att
+        failed += fail
+        # With "all", metrics are keyed workload/metric.
+        metrics.update({(w + "/" if every else "") + n: v
+                        for n, v in met.items()})
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0 if correct else 1
