@@ -6,11 +6,19 @@
 Builds perfbench/ompc_bench from source (once per checkout, in
 $CARGO_TARGET_DIR or .bench_build), then runs repetitions of one workload
 (or of each in turn with --workload all), each in its own process under a
-wall-clock timeout, until S seconds have passed. Every repetition is checked against the workload's serial oracle; a
+30 s wall-clock timeout, until S seconds have passed and at least 3 have
+run. Every repetition is checked against the workload's serial oracle; a
 repetition that fails validation, throws, crashes or times out counts all
 its waves as failed. The last line of stdout is one JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
+
+Before it, each workload's block ends with one ungated context line,
+
+    {"context": {"workload": ..., "host.steal_frac": ...,
+                 "host.steal_frac_per_rep": [...], ...}}
+
+so a comparison of two runs can tell a noisy host from a slower program.
 
 With --trace 0 the metrics are the end-to-end metrics of BENCHMARK.json,
 with --trace 1 its per-layer metrics. A traced run alternates untraced and
@@ -32,10 +40,10 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ("taskbench_fft", "dispatch_waves", "halo3d_ft", "tenant_mix")
+MIN_REPS = 3
+# Three hanging repetitions end by 90 s (120 s after the FFT reference
+# rows), so a run stays within 180 s.
 REP_TIMEOUT_S = 30.0
-# Past this, no repetition starts even below --min-reps: with the reference
-# rows and one repetition in flight, a run then still ends within 180 s.
-MIN_REPS_CUTOFF_S = 90.0
 # OMPC / Charm++ on Task Bench FFT, mean over node counts (paper Fig. 5).
 PAPER_FFT_SPEEDUP = 1.61
 
@@ -67,17 +75,17 @@ def build():
     return os.path.join(bdir, "ompc_bench")
 
 
-def run_rep(binary, args, timeout_s):
+def run_rep(binary, args):
     """Runs one repetition; returns (result dict | None, planned waves)."""
     proc = subprocess.Popen([binary] + args, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, cwd=ROOT)
     try:
-        out, err = proc.communicate(timeout=timeout_s)
+        out, err = proc.communicate(timeout=REP_TIMEOUT_S)
         why = "exit code %d" % proc.returncode
     except subprocess.TimeoutExpired:
         proc.kill()
         out, err = proc.communicate()
-        why = "timed out after %.0f s" % timeout_s
+        why = "timed out after %.0f s" % REP_TIMEOUT_S
     planned, result = 0, None
     for line in out.splitlines():
         if not line.startswith("{"):
@@ -135,9 +143,14 @@ def per_layer(traced, plain):
 
 
 def host_steal_counters():
+    """(steal, total) jiffies of all CPUs so far, from /proc/stat."""
     with open("/proc/stat") as f:
         fields = [int(x) for x in f.readline().split()[1:]]
     return fields[7] if len(fields) > 7 else 0, sum(fields[:8])
+
+
+def steal_frac(before, after):
+    return (after[0] - before[0]) / max(after[1] - before[1], 1)
 
 
 def merge_traces(paths, dest):
@@ -167,7 +180,7 @@ def reference_rows(binary, a):
         cmd.append("--short")
     try:
         ref = subprocess.run(cmd, capture_output=True, text=True, cwd=ROOT,
-                             timeout=a.rep_timeout)
+                             timeout=REP_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         log("reference rows timed out")
         return None
@@ -196,16 +209,12 @@ def run_workload(a, workload, binary, e2e_units, layer_units):
     trace_dir = os.path.join(build_dir(), "traces")
     if a.trace:
         os.makedirs(trace_dir, exist_ok=True)
-    steal0, total0 = host_steal_counters()
-    plain, traced, trace_files = [], [], []
+    run_start = host_steal_counters()
+    plain, traced, trace_files, rep_steal = [], [], [], []
     attempted = failed = 0
     start = time.monotonic()
     rep = 0
-    while True:
-        elapsed = time.monotonic() - start
-        if elapsed >= a.seconds and (rep >= a.min_reps
-                                     or elapsed >= MIN_REPS_CUTOFF_S):
-            break
+    while time.monotonic() - start < a.seconds or rep < MIN_REPS:
         traced_rep = bool(a.trace) and rep % 2 == 1
         args = common + ["--rep", str(rep),
                          "--trace", "1" if traced_rep else "0"]
@@ -214,7 +223,9 @@ def run_workload(a, workload, binary, e2e_units, layer_units):
                                 % (workload, a.seed, rep))
             args += ["--trace-out", path]
             trace_files.append(path)
-        result, planned = run_rep(binary, args, a.rep_timeout)
+        rep_start = host_steal_counters()
+        result, planned = run_rep(binary, args)
+        rep_steal.append(steal_frac(rep_start, host_steal_counters()))
         if result is None:
             attempted += planned or 1
             failed += planned or 1
@@ -224,7 +235,7 @@ def run_workload(a, workload, binary, e2e_units, layer_units):
             if result["ok"]:
                 (traced if traced_rep else plain).append(result)
         rep += 1
-    steal1, total1 = host_steal_counters()
+    steal = steal_frac(run_start, host_steal_counters())
 
     trace_path = None
     if trace_files:
@@ -245,7 +256,6 @@ def run_workload(a, workload, binary, e2e_units, layer_units):
             print("  %-40s %14.6g %s" % (name, e2e[name], unit))
         cpu_us = median([r["layers"]["process.cpu_us_per_task"]
                          for r in ok_reps])
-        steal = (steal1 - steal0) / max(total1 - total0, 1)
         print("  context: host.steal_frac %.4f  process.cpu_us_per_task %.2f"
               % (steal, cpu_us))
         if reference and reference["ok"]:
@@ -280,6 +290,11 @@ def run_workload(a, workload, binary, e2e_units, layer_units):
         elif not a.trace:
             metrics = {n: {"value": e2e[n], "unit": u}
                        for n, u in e2e_units.items()}
+    context = {"workload": workload, "host.steal_frac": steal,
+               "host.steal_frac_per_rep": rep_steal}
+    if ok_reps:
+        context["process.cpu_us_per_task"] = cpu_us
+    print(json.dumps({"context": context}))
     return correct, attempted, failed, metrics
 
 
@@ -293,12 +308,10 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--short", action="store_true",
                     help="small inputs (smoke test)")
-    ap.add_argument("--min-reps", type=int, default=3)
     ap.add_argument("--wrong-oracle", action="store_true",
                     help="check against a deliberately wrong oracle")
     ap.add_argument("--inject", choices=("hang", "throw"),
                     help="make every repetition hang or throw")
-    ap.add_argument("--rep-timeout", type=float, default=REP_TIMEOUT_S)
     a = ap.parse_args()
 
     try:

@@ -5,7 +5,8 @@
 
 Checks, on the short mode of every workload, that:
   * an untraced run prints every end-to-end metric of BENCHMARK.json with
-    its unit, non-zero, and validates (error_rate 0);
+    its unit, non-zero, and validates (error_rate 0), with the host steal
+    on the JSON context line before the result;
   * a traced run prints every per-layer metric with its unit and writes a
     Chrome trace-event file that parses;
   * a run checked against a deliberately wrong oracle counts its waves as
@@ -26,7 +27,7 @@ ROOT = os.path.dirname(HERE)
 RUN = os.path.join(HERE, "run.py")
 sys.dont_write_bytecode = True  # keep perfbench/ free of __pycache__
 sys.path.insert(0, HERE)
-import run  # noqa: E402  (build_dir, WORKLOADS)
+import run  # noqa: E402  (build_dir, WORKLOADS, MIN_REPS)
 
 failures = []
 
@@ -49,6 +50,15 @@ def bench(workload, *extra, env=None, cwd=ROOT, script=RUN):
     return p.returncode, result, p.stdout
 
 
+def context_line(out):
+    """The ungated context object printed just before the result line."""
+    lines = out.strip().splitlines()
+    try:
+        return json.loads(lines[-2])["context"]
+    except (IndexError, ValueError, KeyError):
+        return None
+
+
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -58,7 +68,7 @@ def main():
           "BENCHMARK.json names the workloads run.py runs")
 
     for w in run.WORKLOADS:
-        code, res, _ = bench(w, "--trace", "0", "--min-reps", "1")
+        code, res, out = bench(w, "--trace", "0")
         ok = code == 0 and res is not None and res["correct"] \
             and res["failed"] == 0 and res["attempted"] > 0
         check(ok, "%s: untraced run validates" % w)
@@ -68,8 +78,13 @@ def main():
                 got[n]["unit"] == u and got[n]["value"] > 0
                 for n, u in e2e.items()),
                 "%s: every end-to-end metric, with unit, non-zero" % w)
+        ctx = context_line(out)
+        check(ctx is not None and ctx["workload"] == w
+              and 0.0 <= ctx["host.steal_frac"] <= 1.0
+              and len(ctx["host.steal_frac_per_rep"]) >= run.MIN_REPS,
+              "%s: host steal printed as JSON before the result" % w)
 
-        code, res, out = bench(w, "--trace", "1", "--min-reps", "2")
+        code, res, out = bench(w, "--trace", "1")
         check(code == 0 and res is not None and res["correct"],
               "%s: traced run validates" % w)
         if res:
@@ -88,18 +103,15 @@ def main():
             check(False, "%s: Chrome trace written" % w)
         check("tracing overhead" in out, "%s: tracing overhead printed" % w)
 
-        code, res, _ = bench(w, "--trace", "0", "--min-reps", "1",
-                             "--wrong-oracle")
+        code, res, _ = bench(w, "--trace", "0", "--wrong-oracle")
         check(code != 0 and res is not None and not res["correct"]
               and res["failed"] > 0,
               "%s: wrong oracle counts in error_rate" % w)
 
-    code, res, _ = bench("dispatch_waves", "--trace", "0", "--min-reps", "1",
-                         "--inject", "hang", "--rep-timeout", "3")
+    code, res, _ = bench("dispatch_waves", "--trace", "0", "--inject", "hang")
     check(code != 0 and res is not None and res["failed"] == res["attempted"]
           and res["attempted"] > 0, "a hanging repetition times out as failed")
-    code, res, _ = bench("halo3d_ft", "--trace", "0", "--min-reps", "1",
-                         "--inject", "throw")
+    code, res, _ = bench("halo3d_ft", "--trace", "0", "--inject", "throw")
     check(code != 0 and res is not None and res["failed"] > 0,
           "a throwing repetition counts as failed")
 
