@@ -6,7 +6,7 @@
 Checks, on the short mode of every workload, that:
   * an untraced run prints every end-to-end metric of BENCHMARK.json with
     its unit, non-zero, and validates (error_rate 0), with the host steal
-    on the JSON context line before the result;
+    and elapsed_s on the JSON context line before the result;
   * a traced run prints every per-layer metric with its unit and writes a
     Chrome trace-event file that parses;
   * a run checked against a deliberately wrong oracle counts its waves as
@@ -81,8 +81,10 @@ def main():
         ctx = context_line(out)
         check(ctx is not None and ctx["workload"] == w
               and 0.0 <= ctx["host.steal_frac"] <= 1.0
-              and len(ctx["host.steal_frac_per_rep"]) >= run.MIN_REPS,
-              "%s: host steal printed as JSON before the result" % w)
+              and len(ctx["host.steal_frac_per_rep"]) >= run.MIN_REPS
+              and ctx["elapsed_s"] > 0,
+              "%s: host steal and elapsed_s printed as JSON before the result"
+              % w)
 
         code, res, out = bench(w, "--trace", "1")
         check(code == 0 and res is not None and res["correct"],
