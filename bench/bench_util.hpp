@@ -25,8 +25,8 @@ inline int repetitions() {
 }
 
 /// The benches' simulated interconnect: EDR InfiniBand dilated consistently
-/// with the compute dilation (DESIGN.md §2) — 20 us latency, 100 MB/s per
-/// link, 8 hardware channels (VCIs).
+/// with the compute dilation (README, "Simulation design") — 20 us latency,
+/// 100 MB/s per link, 8 hardware channels (VCIs).
 inline mpi::NetworkModel bench_network() {
   return {20'000, 100.0e6, 8};
 }

@@ -5,14 +5,14 @@
 // node count (weak scaling) — 10M-iteration (50 ms) tasks, CCR 1.0,
 // average of 10 runs. Here tasks are dilated to 5 ms (1M iterations at
 // the paper's 5 ns/iteration calibration) and the network is dilated
-// consistently (bench_network()); see DESIGN.md §2 and EXPERIMENTS.md.
+// consistently (bench_network()); see README, "Simulation design".
 //
 // Expected shape: MPI < StarPU everywhere; OMPC beats Charm++ at small and
 // medium node counts, then saturates and crosses over at the head-node
 // in-flight ceiling (the paper sees this between 32 and 64 nodes; on the
 // single-core simulation the knee lands one octave earlier because the
 // head's real message-processing CPU is the shared bottleneck — see
-// EXPERIMENTS.md).
+// README, "Simulation design").
 #include "bench_util.hpp"
 
 int main() {

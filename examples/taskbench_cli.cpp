@@ -5,12 +5,33 @@
 //   taskbench_cli [--runtime ompc|mpi|starpu|charm|seq] [--pattern NAME]
 //                 [--steps N] [--width N] [--nodes N] [--iters N]
 //                 [--ccr X] [--busy] [--show-pattern]
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "common/check.hpp"
 #include "taskbench/kernel.hpp"
 #include "taskbench/runners.hpp"
+
+namespace {
+
+/// Prints the usage text and the valid pattern names; returns exit code 2.
+int usage_error() {
+  std::fputs(
+      "usage: taskbench_cli [--runtime ompc|mpi|starpu|charm|seq] "
+      "[--pattern NAME]\n"
+      "                     [--steps N] [--width N] [--nodes N] [--iters N]\n"
+      "                     [--ccr X] [--busy] [--show-pattern]\n"
+      "patterns:",
+      stderr);
+  for (const auto p : ompc::taskbench::all_patterns())
+    std::fprintf(stderr, " %s", ompc::taskbench::pattern_name(p));
+  std::fputc('\n', stderr);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ompc::taskbench;
@@ -29,8 +50,15 @@ int main(int argc, char** argv) {
       return a + 1 < argc ? argv[++a] : "";
     };
     if (!std::strcmp(argv[a], "--runtime")) runtime = next();
-    else if (!std::strcmp(argv[a], "--pattern"))
-      spec.pattern = pattern_from_name(next());
+    else if (!std::strcmp(argv[a], "--pattern")) {
+      const std::string name = next();
+      try {
+        spec.pattern = pattern_from_name(name);
+      } catch (const ompc::CheckError&) {
+        std::fprintf(stderr, "unknown pattern '%s'\n", name.c_str());
+        return usage_error();
+      }
+    }
     else if (!std::strcmp(argv[a], "--steps")) spec.steps = std::atoi(next());
     else if (!std::strcmp(argv[a], "--width")) spec.width = std::atoi(next());
     else if (!std::strcmp(argv[a], "--nodes")) nodes = std::atoi(next());
@@ -41,7 +69,7 @@ int main(int argc, char** argv) {
     else if (!std::strcmp(argv[a], "--show-pattern")) show = true;
     else {
       std::fprintf(stderr, "unknown flag %s\n", argv[a]);
-      return 2;
+      return usage_error();
     }
   }
 

@@ -4,9 +4,9 @@
 // salt model) and Marmousi (complex layered structural model). Those
 // datasets are licensed artifacts we cannot ship, so sigsbee_like() and
 // marmousi_like() generate synthetic models with the same qualitative
-// structure (DESIGN.md substitution table): a high-velocity salt body in a
-// smooth background, and steeply dipping laterally varying layers,
-// respectively. The RTM code path is identical either way.
+// structure (README, "Simulation design", substitutions): a high-velocity
+// salt body in a smooth background, and steeply dipping laterally varying
+// layers, respectively. The RTM code path is identical either way.
 #pragma once
 
 #include <cstdint>

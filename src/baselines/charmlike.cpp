@@ -38,7 +38,7 @@ constexpr mpi::Tag kChareTag = 11;
 /// at twice the wire bandwidth (a memory copy is faster than the NIC, but
 /// not free); this is the architectural term behind Charm++'s collapse
 /// when communication dominates (paper §6.2, Fig. 6 at CCR 0.5). See
-/// DESIGN.md's substitution table.
+/// the substitution table in README's "Simulation design".
 ///
 /// Rate calibration: on the paper's EDR InfiniBand (~12.5 GB/s) a single
 /// core's memcpy bandwidth (~10 GB/s) is roughly the wire rate, so each

@@ -1,8 +1,8 @@
 // Fixed-width ASCII table printer for the figure-reproduction benches.
 //
 // Each bench prints the same rows/series the paper's figure plots; Table
-// keeps columns aligned so the output diffs cleanly across runs and can be
-// pasted into EXPERIMENTS.md.
+// keeps columns aligned so the output diffs cleanly across runs (README,
+// "Simulation design", recording results).
 #pragma once
 
 #include <iosfwd>

@@ -1,7 +1,7 @@
 // Timing utilities: a monotonic clock alias, a scope timer, and the precise
 // sleep used by time-dilated task kernels.
 //
-// Time dilation (DESIGN.md §2): on the single-core CI machine the paper's
+// Time dilation (README, "Simulation design"): on a small machine the paper's
 // multi-second compute kernels are replaced by calibrated waits, so worker
 // occupancy and runtime-overhead *ratios* are preserved while the CPU stays
 // available to the runtime itself. precise_sleep() therefore needs to be

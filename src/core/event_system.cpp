@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "common/check.hpp"
 #include "core/fault.hpp"
@@ -225,7 +226,7 @@ EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
     handlers_.emplace_back([this, i] {
       log::set_thread_label("r" + std::to_string(rank_) + "/eh" +
                             std::to_string(i));
-      handler_main(i);
+      handler_main();
     });
   }
   gate_ = std::thread([this] {
@@ -361,6 +362,7 @@ void EventSystem::fail_local() {
     origin_events_.clear();
   }
   origin_cv_.notify_all();
+  wake_parked();
   // No cancel here: the poison that killed this rank already killed its
   // posted receives; fail() force-completes any landing-buffer request.
   for (auto& ev : victims) ev->fail(rank_);
@@ -381,6 +383,7 @@ void EventSystem::fail_rank(mpi::Rank dead) {
     }
   }
   origin_cv_.notify_all();
+  wake_parked();
   for (auto& ev : victims) {
     // Unpost a pending Retrieve landing buffer first: an in-flight payload
     // (sent before the death) arriving after recovery restored that host
@@ -462,7 +465,18 @@ void EventSystem::wait_until_stopped() {
 
 void EventSystem::stop_local() {
   stop_.store(true, std::memory_order_release);
-  queue_cv_.notify_all();
+  // Release the parked events: nothing will resume them now. A transient
+  // receive is unposted so a late payload cannot land in a block the rank
+  // frees on its way out; a late put ack finds its hook's queue gone.
+  std::vector<RemoteEvent> released;
+  {
+    std::lock_guard<std::mutex> lock(queue_->mutex);
+    released = queue_->unpark_locked(true);
+  }
+  queue_->cv.notify_all();
+  for (auto& ev : released) control_.cancel(ev.io);
+  stats_.released.fetch_add(static_cast<std::int64_t>(released.size()),
+                            std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(stopped_mutex_);
   }
@@ -471,10 +485,56 @@ void EventSystem::stop_local() {
 
 void EventSystem::enqueue_remote(RemoteEvent&& ev) {
   {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    queue_.push_back(std::move(ev));
+    std::lock_guard<std::mutex> lock(queue_->mutex);
+    ev.id = queue_->next_id++;
+    queue_->ready.push_back(std::move(ev));
   }
-  queue_cv_.notify_one();
+  queue_->cv.notify_one();
+}
+
+void EventSystem::EventQueue::resume(std::uint64_t id) {
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    const auto it = parked.find(id);
+    if (it == parked.end()) return;
+    it->second.resumed = true;
+    ready.push_back(std::move(it->second));
+    parked.erase(it);
+  }
+  cv.notify_one();
+}
+
+std::vector<EventSystem::RemoteEvent> EventSystem::EventQueue::unpark_locked(
+    bool all) {
+  std::vector<RemoteEvent> out = std::move(idle_waiters);
+  idle_waiters.clear();
+  if (all) {
+    for (auto& [id, ev] : parked) {
+      (void)id;
+      out.push_back(std::move(ev));
+    }
+    parked.clear();
+  }
+  return out;
+}
+
+bool EventSystem::EventQueue::wake_locked(bool all) {
+  if (all) ++deaths;
+  std::vector<RemoteEvent> woken = unpark_locked(all);
+  for (auto& ev : woken) {
+    ev.resumed = true;
+    ready.push_back(std::move(ev));
+  }
+  return !woken.empty();
+}
+
+void EventSystem::wake_parked() {
+  bool woke;
+  {
+    std::lock_guard<std::mutex> lock(queue_->mutex);
+    woke = queue_->wake_locked(true);
+  }
+  if (woke) queue_->cv.notify_all();
 }
 
 void EventSystem::gate_main() {
@@ -504,9 +564,9 @@ void EventSystem::gate_main() {
           // retires every channel tag on recovery anyway: drop the cache
           // wholesale so no pre-posted slot outlives the failure.
           clear_channels();
-          // Re-queue events already parked on pending I/O so handlers
-          // re-evaluate them against the updated dead set promptly.
-          queue_cv_.notify_all();
+          // Resume every parked event so it re-evaluates its abort paths
+          // (ExchangeRecv's dead peer / dead origin) against the new set.
+          wake_parked();
           continue;
         }
         RemoteEvent ev;
@@ -544,20 +604,27 @@ void EventSystem::gate_main() {
   }
 }
 
-void EventSystem::handler_main(int /*index*/) {
+void EventSystem::handler_main() {
+  EventQueue& q = *queue_;
   for (;;) {
     RemoteEvent ev;
+    WakeEpochs seen;
     {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [this] { return stop_.load() || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop and drained
-      ev = std::move(queue_.front());
-      queue_.pop_front();
+      std::unique_lock<std::mutex> lock(q.mutex);
+      q.cv.wait(lock, [&] { return stop_.load() || !q.ready.empty(); });
+      if (q.ready.empty()) return;  // stop and drained
+      ev = std::move(q.ready.front());
+      q.ready.pop_front();
+      seen = {q.deaths, q.exits};
+    }
+    if (ev.resumed) {
+      stats_.resumed.fetch_add(1, std::memory_order_relaxed);
+      ev.resumed = false;
     }
     bool finished = true;
     bool died = false;
-    // The active counter is held only while inside progress() so a parked
-    // event backing off does not starve TrimHeap's only-active-event gate.
+    // The active counter is held only while inside progress(), so a parked
+    // event does not starve TrimHeap's only-active-event gate.
     active_events_.fetch_add(1, std::memory_order_acq_rel);
     try {
       finished = progress(ev);
@@ -567,18 +634,67 @@ void EventSystem::handler_main(int /*index*/) {
       died = true;
     }
     active_events_.fetch_sub(1, std::memory_order_acq_rel);
-    if (died) continue;
-    if (finished) {
+    if (finished && !died)
       stats_.handled.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Pending I/O: back off with a real OS sleep so a lone pending event
-      // doesn't turn the handler pool into a spin storm (precise_sleep
-      // would spin for a wait this short), then requeue (step 5b, Fig 3).
-      // 200 us of poll granularity is noise against millisecond transfers.
-      stats_.reenqueued.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      enqueue_remote(std::move(ev));
+    // Pending I/O (step 5b, Fig. 3): park until a wake source fires.
+    settle(finished ? nullptr : &ev, seen);
+  }
+}
+
+void EventSystem::settle(RemoteEvent* pending, WakeEpochs seen) {
+  EventQueue& q = *queue_;
+  // What the pending event waits on; none means TrimHeap's idle gate.
+  mpi::Request waiting;
+  if (pending != nullptr) {
+    if (pending->put_channel != nullptr)
+      waiting = mpi::Request(pending->put_channel->pr.state());
+    else if (pending->recv_channel != nullptr)
+      waiting = mpi::Request(pending->recv_channel->pr.state());
+    else
+      waiting = pending->io;
+  }
+  std::optional<RemoteEvent> released;
+  const std::uint64_t id = pending != nullptr ? pending->id : 0;
+  bool woke = false;
+  bool hooked = false;
+  {
+    std::lock_guard<std::mutex> lock(q.mutex);
+    // A wake that fired while the event was inside progress() found
+    // nothing parked to move: resume at once instead of parking past it.
+    const bool missed =
+        q.deaths != seen.deaths || (!waiting.valid() && q.exits != seen.exits);
+    ++q.exits;
+    woke = q.wake_locked(false);
+    if (pending != nullptr) {
+      stats_.parked.fetch_add(1, std::memory_order_relaxed);
+      if (stop_.load(std::memory_order_acquire)) {
+        released.emplace(std::move(*pending));
+      } else if (missed) {
+        pending->resumed = true;
+        q.ready.push_back(std::move(*pending));
+        woke = true;
+      } else if (waiting.valid()) {
+        q.parked.emplace(id, std::move(*pending));
+        hooked = true;
+      } else {
+        q.idle_waiters.push_back(std::move(*pending));
+      }
     }
+  }
+  if (woke) q.cv.notify_all();
+  if (released) {
+    control_.cancel(released->io);
+    stats_.released.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Registered after parking, outside the lock: a request that completed
+  // in between fires the hook right here. Re-parking the same event on the
+  // same request replaces the hook, and the id never changes, so a hook
+  // that loses that race still wakes the right event.
+  if (hooked) {
+    waiting.on_complete([lot = std::weak_ptr<EventQueue>(queue_), id] {
+      if (const auto live = lot.lock()) live->resume(id);
+    });
   }
 }
 
@@ -910,8 +1026,9 @@ bool EventSystem::progress(RemoteEvent& ev) {
       }
       if (!landed) {
         // A payload from a dead peer will never arrive; abort the event
-        // instead of re-enqueueing it forever. The head has already failed
-        // the origin half, so this completion is dropped there as late.
+        // instead of parking it forever (the death resumes it to get here).
+        // The head has already failed the origin half, so this completion
+        // is dropped there as late.
         // A dead *origin* aborts too: a head that died after starting this
         // half but before starting the matching send leaves the payload
         // unsent forever, and the promoted head must be able to drain us.
@@ -965,8 +1082,8 @@ bool EventSystem::progress(RemoteEvent& ev) {
       // dispatched by the dead head and still in flight). Defer until this
       // is the only active event and the queue is drained.
       {
-        std::lock_guard<std::mutex> lock(queue_mutex_);
-        if (!queue_.empty()) return false;
+        std::lock_guard<std::mutex> lock(queue_->mutex);
+        if (!queue_->ready.empty()) return false;
       }
       if (active_events_.load(std::memory_order_acquire) != 1) return false;
       const auto h = header.get<TrimHeapHeader>();

@@ -4,8 +4,12 @@
 //  - a *gate thread* owns the control communicator: it receives new-event
 //    notifications (enqueuing the destination half of each event) and
 //    completion notifications (waking the origin waiter);
-//  - a pool of *event handlers* executes queued events as poll-driven state
-//    machines, re-enqueueing any event with pending I/O;
+//  - a pool of *event handlers* executes queued events as state machines.
+//    An event whose I/O is still pending is parked: it goes back on the
+//    handler queue only when something it waits on changes — its request
+//    completes (a one-shot minimpi completion hook), the rank learns of a
+//    death, or, for TrimHeap, another event leaves a handler. No handler
+//    sleeps or polls on pending I/O;
 //  - origin threads (the head's helper threads) create events, each with a
 //    unique tag; every data message of an event travels on a data
 //    communicator chosen round-robin by that tag (the VCI striping of
@@ -36,7 +40,7 @@ class ReplicaStore;
 
 /// Rank-local "device memory": the worker-side heap that Alloc/Delete
 /// events manage. Head code never dereferences these addresses (distinct
-/// address spaces by discipline, DESIGN.md decision 1).
+/// address spaces by discipline, README "Simulation design").
 ///
 /// Blocks are shared-ownership so outbound payloads (Retrieve/ExchangeSend)
 /// can send device memory zero-copy: share() pins the block for the life of
@@ -155,7 +159,13 @@ using OriginEventPtr = std::shared_ptr<OriginEvent>;
 struct EventSystemStats {
   std::atomic<std::int64_t> originated{0};
   std::atomic<std::int64_t> handled{0};
-  std::atomic<std::int64_t> reenqueued{0};
+  /// Times an event with pending I/O was parked (Fig. 3 step 5b).
+  std::atomic<std::int64_t> parked{0};
+  /// Times a wake source put a parked event back on the handler queue.
+  std::atomic<std::int64_t> resumed{0};
+  /// Parked events dropped by a local stop instead of being resumed; once
+  /// the handlers have exited, parked == resumed + released.
+  std::atomic<std::int64_t> released{0};
   std::atomic<std::int64_t> kernels_run{0};
 };
 
@@ -278,11 +288,48 @@ class EventSystem {
   /// Destination half of an event (the E_D of Figure 3).
   struct RemoteEvent {
     EventAnnounce announce;
+    std::uint64_t id = 0;  ///< rank-local, fixed at enqueue; keys the lot
+    bool resumed = false;  ///< woken from the parking lot, not yet counted
     int phase = 0;
     mpi::Request io;  ///< pending irecv for Submit / ExchangeRecv
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
     std::shared_ptr<PutChannel> put_channel;    ///< phase 2: persistent put
     std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
+  };
+
+  /// The handler queue and the parking lot of events waiting on I/O. Owned
+  /// by shared_ptr so completion hooks can hold it weakly: a request that
+  /// completes after this EventSystem is gone (a late put ack, a killed
+  /// rank's receive) finds no queue and does nothing.
+  struct EventQueue {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<RemoteEvent> ready;
+    /// Events parked on a pending request, by RemoteEvent::id.
+    std::unordered_map<std::uint64_t, RemoteEvent> parked;
+    /// TrimHeap events waiting to be the only active event.
+    std::vector<RemoteEvent> idle_waiters;
+    std::uint64_t next_id = 0;
+    /// Wake epochs: dead-rank wakes, and handler exits from progress().
+    std::uint64_t deaths = 0;
+    std::uint64_t exits = 0;
+
+    /// Completion hook body: moves event `id` back to `ready` if it is
+    /// still parked (a stale or repeated wake finds nothing).
+    void resume(std::uint64_t id);
+    /// Takes the idle waiters (and with `all`, every parked event) out of
+    /// the lot. Caller holds `mutex`.
+    std::vector<RemoteEvent> unpark_locked(bool all);
+    /// Moves every idle waiter (and with `all`, every parked event: a
+    /// dead-rank wake) back to `ready`; true when any moved. Caller holds
+    /// `mutex`.
+    bool wake_locked(bool all);
+  };
+
+  /// EventQueue's epochs as a handler saw them when it popped an event.
+  struct WakeEpochs {
+    std::uint64_t deaths = 0;
+    std::uint64_t exits = 0;
   };
 
   /// Finds-or-creates and start()s the put channel for `h`; null means
@@ -308,7 +355,22 @@ class EventSystem {
   void clear_channels();
 
   void gate_main();
-  void handler_main(int index);
+
+  /// Handler loop: pops a ready event and advances it with progress(). An
+  /// event left with pending I/O is parked by settle() and returns to the
+  /// ready queue only when woken: by its request's completion hook, by new
+  /// dead-rank knowledge (wake_parked) or, for TrimHeap, by another event
+  /// leaving a handler. No handler sleeps or polls.
+  void handler_main();
+
+  /// After a handler leaves progress(): wakes the TrimHeap idle waiters
+  /// (the active-event count just changed), then parks `pending`, if set,
+  /// until its request completes. A wake that fired since `seen` requeues
+  /// it at once instead; stopped, it is released.
+  void settle(RemoteEvent* pending, WakeEpochs seen);
+
+  /// New dead-rank knowledge: every parked event re-checks its abort paths.
+  void wake_parked();
 
   /// This rank died (gate caught RankKilledError): declare self dead and
   /// fail every outstanding origin event, so origin waiters unblock —
@@ -348,11 +410,10 @@ class EventSystem {
   std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
   std::unordered_map<mpi::Tag, std::shared_ptr<RecvChannel>> recv_channels_;
 
-  // Local destination-event queue. active_events_ counts events currently
-  // inside progress() — TrimHeap defers until it is the only one.
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<RemoteEvent> queue_;
+  // Local destination-event queue and parking lot. active_events_ counts
+  // events currently inside progress() — TrimHeap defers until it is the
+  // only one.
+  const std::shared_ptr<EventQueue> queue_ = std::make_shared<EventQueue>();
   std::atomic<int> active_events_{0};
 
   std::atomic<bool> stop_{false};

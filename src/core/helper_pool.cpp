@@ -77,6 +77,7 @@ void HelperPool::reserve(int target) {
     OMPC_CHECK_MSG(!stop_, "reserve on a stopped helper pool");
     const int want = std::min(max_, target);
     while (live_ < want) spawn_locked();
+    ++demand_epoch_;
     to_reap.swap(reap_);
   }
   // Join retired threads outside the lock (they have already exited or are
@@ -104,6 +105,7 @@ void HelperPool::worker_main(std::int64_t slot) {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     bool timed_out = false;
+    const std::uint64_t epoch = demand_epoch_;
     ++idle_;
     if (idle_shrink_ms_ > 0) {
       timed_out =
@@ -123,7 +125,7 @@ void HelperPool::worker_main(std::int64_t slot) {
       continue;
     }
     if (stop_) return;  // drained
-    if (timed_out && live_ > min_) {
+    if (timed_out && live_ > min_ && epoch == demand_epoch_) {
       // Idle shrink: retire this thread. It cannot join itself, so the
       // handle moves to reap_ for the next submit (or the destructor).
       --live_;
@@ -134,7 +136,8 @@ void HelperPool::worker_main(std::int64_t slot) {
       }
       return;
     }
-    // Timed out at the floor (or spurious wake): keep waiting.
+    // Timed out at the floor or across a reserve() (or a spurious wake):
+    // keep waiting.
   }
 }
 

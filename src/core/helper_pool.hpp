@@ -111,6 +111,9 @@ class HelperPool {
   std::string label_;
   int live_ = 0;  ///< spawned minus retired (mutex-guarded)
   int idle_ = 0;  ///< live threads currently waiting for work
+  /// Bumped by reserve(): an idle window that saw new announced demand
+  /// ends without retiring its thread (mutex-guarded).
+  std::uint64_t demand_epoch_ = 0;
   std::int64_t next_slot_ = 0;
   std::atomic<std::int64_t> jobs_run_{0};
   std::atomic<std::int64_t> threads_spawned_{0};

@@ -1473,6 +1473,14 @@ void Runtime::process_membership_requests() {
 
 RuntimeStats launch(const ClusterOptions& opts,
                     const std::function<void(Runtime&)>& head_main) {
+  // Every rank's event system owns one stripe of the persistent-channel tag
+  // space; fail here, before any rank thread starts, rather than in a rank
+  // constructor while its peers wait on it.
+  OMPC_CHECK_MSG(opts.ranks() <= kMaxChannelRanks,
+                 opts.ranks() << " ranks (num_workers + spare_workers + 1 "
+                                 "head) exceed the "
+                              << kMaxChannelRanks
+                              << "-rank limit of the channel-tag stripes");
   const Stopwatch wall;
   RuntimeStats stats;
 

@@ -22,7 +22,8 @@ namespace ompc::mpi {
 namespace detail {
 
 /// Shared completion state. The matching engine fills `status` and flips
-/// `done` under `mutex`; waiters block on `cv`.
+/// `done` under `mutex`; waiters block on `cv`, and an event-driven owner
+/// registers a one-shot `on_complete` hook instead of polling.
 struct RequestState {
   std::mutex mutex;
   std::condition_variable cv;
@@ -47,25 +48,49 @@ struct RequestState {
   /// lingers as a zombie pre-posted slot.
   bool persistent = false;
 
+  /// One-shot completion hook (see on_complete); empty when none is set.
+  std::function<void()> hook;
+
   void complete(const Status& st) {
+    std::function<void()> fire;
     {
       std::lock_guard<std::mutex> lock(mutex);
       status = st;
       done = true;
+      fire.swap(hook);
     }
     cv.notify_all();
+    if (fire) fire();
   }
 
   /// Fault injection: completes the request exceptionally — the owning rank
   /// died, so waiters must unwind rather than block forever.
   void kill(Rank rank) {
+    std::function<void()> fire;
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (done) return;  // already matched; the data won a race with death
       killed_rank = rank;
       done = true;
+      fire.swap(hook);
     }
     cv.notify_all();
+    if (fire) fire();
+  }
+
+  /// Registers `fn` to run exactly once when the request completes (data or
+  /// kill), on the completing thread and outside `mutex`; it replaces any
+  /// hook not yet fired. An already-complete request runs `fn` at once, in
+  /// the caller. The hook must not block: it runs on delivery threads.
+  void on_complete(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!done) {
+        hook = std::move(fn);
+        return;
+      }
+    }
+    fn();
   }
 };
 
@@ -97,6 +122,12 @@ class Request {
     if (state_->killed_rank >= 0) throw RankKilledError(state_->killed_rank);
     if (out != nullptr) *out = state_->status;
     return true;
+  }
+
+  /// Runs `fn` once when the operation completes (see
+  /// RequestState::on_complete) — at once if it already has.
+  void on_complete(std::function<void()> fn) const {
+    state_->on_complete(std::move(fn));
   }
 
   std::shared_ptr<detail::RequestState> state() const { return state_; }
@@ -164,6 +195,7 @@ class PersistentRequest {
       armed_ = false;
       state_->done = false;
       state_->status = Status{};
+      state_->hook = nullptr;  // a new cycle starts with no hook
     }
     arm_();  // may throw (poisoned mailbox, dead peer): stays disarmed
     armed_ = true;

@@ -1,9 +1,9 @@
 // Core identifiers and constants for the minimpi message-passing substrate.
 //
-// minimpi reproduces the MPI semantics OMPC depends on (DESIGN.md §2):
-// ranks, tags, communicator contexts, wildcard matching and non-overtaking
-// delivery within a communicator. Ranks are threads of one process; the
-// "wire" is the simulated network in network.hpp.
+// minimpi reproduces the MPI semantics OMPC depends on (README, "Simulation
+// design"): ranks, tags, communicator contexts, wildcard matching and
+// non-overtaking delivery within a communicator. Ranks are threads of one
+// process; the "wire" is the simulated network in network.hpp.
 #pragma once
 
 #include <cstddef>

@@ -39,13 +39,13 @@ Universe::Universe(const UniverseOptions& opts)
 
 Universe::~Universe() = default;
 
-void Universe::execute_kill(Rank r) {
+void Universe::execute_kill(Rank r, const char* why) {
   OMPC_CHECK(r >= 0 && r < opts_.ranks);
   bool expected = false;
   if (!dead_[static_cast<std::size_t>(r)].compare_exchange_strong(expected,
                                                                   true))
     return;
-  OMPC_LOG_WARN("fault injection: killing rank " << r);
+  OMPC_LOG_WARN(why << ": killing rank " << r);
   mailbox(r).poison(r);
   // One-sided ops are not posted receives, so poisoning cannot reach them:
   // fail every pending op that originates from or targets the corpse, or
@@ -68,7 +68,6 @@ void Universe::kill_rank(Rank r, std::int64_t at_ns) {
 void Universe::reaper_main() {
   std::unique_lock<std::mutex> lock(kill_mutex_);
   for (;;) {
-    if (reaper_stop_) return;
     // Fire everything that is due; find the next deadline.
     const std::int64_t elapsed =
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
@@ -89,6 +88,9 @@ void Universe::reaper_main() {
       if (next_due < 0 || it->at_ns < next_due) next_due = it->at_ns;
       ++it;
     }
+    // Checked here, after the scan, because run() may have stopped the
+    // reaper while a kill ran unlocked — its notify is already gone.
+    if (reaper_stop_) return;
     if (next_due < 0) {
       kill_cv_.wait(lock);
     } else {
@@ -99,7 +101,8 @@ void Universe::reaper_main() {
 
 void Universe::run(const std::function<void(RankContext&)>& rank_main) {
   const int n = opts_.ranks;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
 
@@ -116,7 +119,7 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
   });
 
   for (int r = 0; r < n; ++r) {
-    threads.emplace_back([this, r, &rank_main, &errors] {
+    threads.emplace_back([this, r, &rank_main, &error_mutex, &first_error] {
       log::set_thread_label("r" + std::to_string(r));
       RankContext ctx(*this, r);
       try {
@@ -125,7 +128,13 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
         // A killed rank unwinding is the *intended* fault-injection
         // behaviour, not an error of the run.
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
+        // A crashed rank is a dead rank: poison it like a kill, so peers
+        // blocked on it fail fast instead of waiting for it forever.
+        execute_kill(r, "unexpected exception");
       }
     });
   }
@@ -138,9 +147,7 @@ void Universe::run(const std::function<void(RankContext&)>& rank_main) {
     kill_cv_.notify_all();
   }
   reaper_.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void Universe::launch(const UniverseOptions& opts,

@@ -1,8 +1,8 @@
 // The Universe owns the simulated cluster: one mailbox per rank, the
 // transport conduit, the one-sided window registry and the communicator
-// context allocator. Universe::run spawns one thread per rank (DESIGN.md
-// decision 1: ranks are threads whose address spaces are separated by
-// discipline — all inter-rank data flows through messages).
+// context allocator. Universe::run spawns one thread per rank (README,
+// "Simulation design": ranks are threads whose address spaces are separated
+// by discipline — all inter-rank data flows through messages).
 //
 // Transport split (GASNet-style): the universe is the transport-independent
 // core — liveness, matching, counting, one-sided op completion — while the
@@ -69,7 +69,9 @@ class Universe {
   Universe& operator=(const Universe&) = delete;
 
   /// Runs `rank_main` on every rank (one thread each), joins them all, and
-  /// rethrows the first rank exception (by rank order) if any.
+  /// rethrows the first rank exception (in time: the root cause) if any. A
+  /// rank that exits with an unexpected exception is killed on the spot,
+  /// like fault injection, so its peers fail fast instead of hanging.
   void run(const std::function<void(RankContext&)>& rank_main);
 
   /// Convenience: construct + run.
@@ -140,7 +142,7 @@ class Universe {
   void rma_fail(std::uint64_t op_id, Rank dead);
   void fail_rma_ops_of(Rank r);
 
-  void execute_kill(Rank r);
+  void execute_kill(Rank r, const char* why = "fault injection");
   void reaper_main();
 
   UniverseOptions opts_;

@@ -1,5 +1,5 @@
 // Host task runtime: the miniature of LLVM's OpenMP tasking layer that OMPC
-// builds on (DESIGN.md §3 "omptask").
+// builds on (README, "Simulation design", substitutions).
 //
 // - submit() outlines a code fragment as a task with depend() semantics;
 //   ready tasks feed a pool of worker threads with work stealing (LLVM's

@@ -28,7 +28,8 @@ const char* pattern_name(Pattern p);
 Pattern pattern_from_name(const std::string& name);
 std::vector<Pattern> all_patterns();
 
-/// How a task's compute cost is realized (DESIGN.md §2, time dilation).
+/// How a task's compute cost is realized (README, "Simulation design": time
+/// dilation).
 enum class KernelMode : std::uint8_t {
   Busy,   ///< real arithmetic (xorshift loop), ~1 iteration per ~1.25ns
   Sleep,  ///< calibrated wait: iterations x 5 ns (paper: 10M iters = 50ms)

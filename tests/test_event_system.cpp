@@ -1,11 +1,16 @@
 // Direct tests of the §4.2 event system: every event kind, tag isolation,
-// concurrency, and clean shutdown.
+// concurrency, clean shutdown, and the park-and-wake handling of events
+// with pending I/O.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
+#include "common/time.hpp"
 #include "core/event_system.hpp"
+#include "core/fault.hpp"
+#include "core/runtime.hpp"
 
 namespace ompc::core {
 namespace {
@@ -18,28 +23,68 @@ const offload::KernelId kStamp =
           *ctx.buffer<std::uint64_t>(0) = v;
         });
 
-/// Boots a head + N workers cluster and runs `body` on the head.
-void with_cluster(int workers, const std::function<void(EventSystem&)>& body,
-                  ClusterOptions opts = {}) {
+/// A worker's handler counters, read once its event system stopped.
+struct HandlerCounts {
+  std::int64_t parked = 0, resumed = 0, released = 0;
+};
+
+using HeadBody = std::function<void(EventSystem&, mpi::RankContext&)>;
+
+/// Boots a head + N workers cluster over `opts.network` and runs `body` on
+/// the head. `workers_out`, when given, receives each worker's counters
+/// (index = rank), and `live_out` its event system while it runs (null once
+/// it stopped).
+void with_cluster(int workers, const HeadBody& body, ClusterOptions opts = {},
+                  std::vector<HandlerCounts>* workers_out = nullptr,
+                  std::vector<std::atomic<EventSystem*>>* live_out = nullptr) {
   opts.num_workers = workers;
-  opts.network = {};
   mpi::UniverseOptions uopts;
   uopts.ranks = opts.ranks();
   uopts.comms = 1 + opts.vci;
+  uopts.network = opts.network;
+  if (workers_out != nullptr)
+    workers_out->assign(static_cast<std::size_t>(opts.ranks()), {});
   mpi::Universe universe(uopts);
   universe.run([&](mpi::RankContext& ctx) {
     if (ctx.rank() == 0) {
       EventSystem events(ctx, opts, nullptr, nullptr);
-      body(events);
+      body(events, ctx);
       events.shutdown_cluster();
     } else {
+      const auto me = static_cast<std::size_t>(ctx.rank());
       WorkerMemory memory(&ctx.universe(), ctx.rank());
       omp::TaskRuntime pool(1);
       EventSystem events(ctx, opts, &memory, &pool);
+      if (live_out != nullptr) (*live_out)[me].store(&events);
       events.wait_until_stopped();
+      if (live_out != nullptr) (*live_out)[me].store(nullptr);
+      if (workers_out != nullptr) {
+        const EventSystemStats& st = events.stats();
+        (*workers_out)[me] = {st.parked.load(), st.resumed.load(),
+                              st.released.load()};
+      }
+      if (ctx.universe().is_dead(ctx.rank())) return;  // heap dies with it
       EXPECT_EQ(memory.live(), 0u) << "worker leaked device memory";
     }
   });
+}
+
+/// The same over an instant network.
+void with_cluster(int workers, const std::function<void(EventSystem&)>& body,
+                  ClusterOptions opts = {}) {
+  opts.network = {};
+  with_cluster(
+      workers, [&](EventSystem& es, mpi::RankContext&) { body(es); }, opts);
+}
+
+/// Polls `done` every 100 us for up to `limit_s`; true once it holds.
+bool eventually(const std::function<bool()>& done, double limit_s = 10.0) {
+  const Stopwatch sw;
+  while (!done()) {
+    if (sw.elapsed_s() > limit_s) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
 }
 
 offload::TargetPtr alloc_on(EventSystem& es, mpi::Rank w, std::size_t size) {
@@ -233,6 +278,232 @@ TEST_P(EventSystemHandlers, PipelinedSubmitsUnderAnyHandlerCount) {
 
 INSTANTIATE_TEST_SUITE_P(HandlerCounts, EventSystemHandlers,
                          ::testing::Values(1, 2, 4));
+
+// --- park and wake ---------------------------------------------------------
+
+/// Puts `n` bytes from a block on worker `from` into a block on worker `to`
+/// as one RmaPut event, `reps` times in a row; frees both blocks.
+void put_repeatedly(EventSystem& es, mpi::Rank from, mpi::Rank to,
+                    std::size_t n, int reps) {
+  const auto src = alloc_on(es, from, n);
+  const auto dst = alloc_on(es, to, n);
+  for (int i = 0; i < reps; ++i) {
+    ArchiveWriter h;
+    h.put(RmaPutHeader{src, n, to, dst, 0});
+    es.start(from, EventKind::RmaPut, h.take(), {}, to)->wait();
+  }
+  delete_on(es, from, src);
+  delete_on(es, to, dst);
+}
+
+class EventSystemWakeups
+    : public ::testing::TestWithParam<std::tuple<std::int64_t, bool>> {};
+
+TEST_P(EventSystemWakeups, EachPendingPutParksAndResumesAtMostOnce) {
+  // A put waiting for its ack is parked once and resumed once, by the ack
+  // itself: the counts do not grow with the wire time, as a poll's would.
+  const auto [latency_ns, channels] = GetParam();
+  constexpr int kPuts = 12;
+  ClusterOptions opts;
+  opts.network = {latency_ns, 0.0, 1};
+  opts.persistent_channels = channels;
+  std::vector<HandlerCounts> counts;
+  with_cluster(
+      2,
+      [](EventSystem& es, mpi::RankContext&) {
+        put_repeatedly(es, 1, 2, 4096, kPuts);
+      },
+      opts, &counts);
+  for (std::size_t r = 1; r < counts.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(counts[r].resumed, counts[r].parked);
+    EXPECT_LE(counts[r].parked, kPuts);
+    EXPECT_EQ(counts[r].released, 0);
+  }
+  EXPECT_GE(counts[1].parked, 1) << "an ack 2x latency away was never waited";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlowLinks, EventSystemWakeups,
+    ::testing::Combine(::testing::Values(std::int64_t{1'000'000},
+                                         std::int64_t{4'000'000}),
+                       ::testing::Bool()));
+
+TEST(EventSystemWakeups, ParkedExchangeRecvAbortsWhenItsPeerDies) {
+  // Rendezvous plane: an ExchangeRecv whose sender never comes is parked
+  // on its irecv. The peer's death completes no request of this rank — the
+  // RankDead notice must resume the event, which then aborts.
+  ClusterOptions opts;
+  opts.network = {};
+  opts.data_plane = DataPlane::Rendezvous;
+  std::vector<std::atomic<EventSystem*>> live(3);
+  std::vector<HandlerCounts> counts;
+  with_cluster(
+      2,
+      [&](EventSystem& es, mpi::RankContext& ctx) {
+        const std::size_t n = 256;
+        const auto dst = alloc_on(es, 2, n);
+        ArchiveWriter rh;
+        rh.put(ExchangeRecvHeader{dst, n, 1, es.allocate_tag()});
+        auto recv_ev = es.start(2, EventKind::ExchangeRecv, rh.take(), {}, 1);
+        ASSERT_TRUE(eventually([&] { return live[2].load() != nullptr; }));
+        const EventSystemStats& w2 = live[2].load()->stats();
+        ASSERT_TRUE(eventually([&] { return w2.parked.load() == 1; }));
+        const std::int64_t handled = w2.handled.load();
+
+        ctx.universe().kill_rank(1, 0);
+        ASSERT_TRUE(eventually([&] { return ctx.universe().is_dead(1); }));
+        const Stopwatch since_notice;
+        es.fail_rank(1);
+        es.announce_rank_dead(1);
+        EXPECT_THROW(recv_ev->wait(), WorkerDiedError);
+        ASSERT_TRUE(eventually(
+            [&] { return w2.handled.load() == handled + 1; }, 5.0))
+            << "the parked ExchangeRecv never aborted";
+        EXPECT_LT(since_notice.elapsed_s(), 5.0);
+        delete_on(es, 2, dst);
+      },
+      opts, &counts, &live);
+  EXPECT_EQ(counts[2].parked, 1);
+  EXPECT_EQ(counts[2].resumed, 1);
+  EXPECT_EQ(counts[2].released, 0);
+}
+
+TEST(EventSystemWakeups, TeardownBeforeALateCompletionIsANoOp) {
+  // Worker 1 parks an RmaPut whose ack is ~200 ms of wire time away, then
+  // destroys its event system. The ack completing the request afterwards
+  // runs a hook whose queue is gone: it must do nothing (ASan checks).
+  for (const bool channels : {false, true}) {
+    SCOPED_TRACE(channels ? "persistent put" : "transient put");
+    ClusterOptions opts;
+    opts.num_workers = 2;
+    opts.persistent_channels = channels;
+    constexpr std::size_t kBytes = 512 * 1024;
+    mpi::UniverseOptions uopts;
+    uopts.ranks = opts.ranks();
+    uopts.comms = 1 + opts.vci;
+    uopts.network = {0, 2.5e6, 1};  // tiny control messages, slow payload
+    std::atomic<bool> parked{false}, acked{false};
+    mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
+      if (ctx.rank() == 0) {
+        EventSystem es(ctx, opts, nullptr, nullptr);
+        const auto src = alloc_on(es, 1, kBytes);
+        const auto dst = alloc_on(es, 2, kBytes);
+        ArchiveWriter h;
+        h.put(RmaPutHeader{src, kBytes, 2, dst, 0});
+        auto put = es.start(1, EventKind::RmaPut, h.take(), {}, 2);
+        EXPECT_TRUE(eventually([&] { return acked.load(); }));
+        EXPECT_FALSE(put->done()) << "a released event never completes";
+        delete_on(es, 2, dst);
+        es.run(2, EventKind::Shutdown, {});
+      } else if (ctx.rank() == 1) {
+        WorkerMemory memory(&ctx.universe(), ctx.rank());
+        omp::TaskRuntime pool(1);
+        {
+          EventSystem es(ctx, opts, &memory, &pool);
+          parked = eventually([&] { return es.stats().parked.load() == 1; });
+        }  // self-stop: the parked put is released, the hook outlives us
+        // Outlive the ack (~210 ms of wire time after the put started).
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+        acked = true;
+      } else {
+        WorkerMemory memory(&ctx.universe(), ctx.rank());
+        omp::TaskRuntime pool(1);
+        EventSystem es(ctx, opts, &memory, &pool);
+        es.wait_until_stopped();
+      }
+    });
+    EXPECT_TRUE(parked.load());
+  }
+}
+
+TEST(EventSystemWakeups, ReleasedEventsAreCountedApart) {
+  // A stop with an event still parked releases it: parked == resumed +
+  // released once the handlers are gone.
+  ClusterOptions opts;
+  opts.num_workers = 1;
+  mpi::UniverseOptions uopts;
+  uopts.ranks = opts.ranks();
+  uopts.comms = 1 + opts.vci;
+  std::atomic<EventSystem*> worker{nullptr};
+  HandlerCounts w1;
+  mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      EventSystem es(ctx, opts, nullptr, nullptr);
+      const auto dst = alloc_on(es, 1, 64);
+      // A Submit whose payload never comes parks on its irecv.
+      ArchiveWriter sh;
+      sh.put(SubmitHeader{dst, 64});
+      es.start(1, EventKind::Submit, sh.take());
+      ASSERT_TRUE(eventually([&] {
+        EventSystem* w = worker.load();
+        return w != nullptr && w->stats().parked.load() == 1;
+      }));
+      es.shutdown_cluster();
+    } else {
+      WorkerMemory memory(&ctx.universe(), ctx.rank());
+      omp::TaskRuntime pool(1);
+      EventSystem es(ctx, opts, &memory, &pool);
+      worker = &es;
+      es.wait_until_stopped();
+      worker = nullptr;
+      const EventSystemStats& st = es.stats();
+      EXPECT_TRUE(eventually([&] { return st.released.load() == 1; }));
+      w1 = {st.parked.load(), st.resumed.load(), st.released.load()};
+    }
+  });
+  EXPECT_EQ(w1.parked, 1);
+  EXPECT_EQ(w1.resumed, 0);
+  EXPECT_EQ(w1.released, 1);
+}
+
+// --- launch failures surface fast ----------------------------------------
+
+TEST(LaunchFailsFast, MoreRanksThanChannelStripesThrowsBeforeBoot) {
+  // 64 workers + the head exceed the channel-tag stripes: launch() must say
+  // so before any rank thread starts, not hang on the rank that cannot boot.
+  ClusterOptions opts;
+  opts.num_workers = kMaxChannelRanks;
+  bool ran = false;
+  const Stopwatch sw;
+  EXPECT_THROW(launch(opts, [&](Runtime&) { ran = true; }), CheckError);
+  EXPECT_FALSE(ran);
+  EXPECT_LT(sw.elapsed_s(), 5.0);
+}
+
+TEST(LaunchFailsFast, WorkerThrowingAtStartupFailsTheLaunch) {
+  // A worker that throws before its event system exists is killed on the
+  // spot: events toward it fail fast, and launch() rethrows its error.
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  mpi::UniverseOptions uopts;
+  uopts.ranks = opts.ranks();
+  uopts.comms = 1 + opts.vci;
+  const Stopwatch sw;
+  EXPECT_THROW(
+      mpi::Universe::launch(
+          uopts,
+          [&](mpi::RankContext& ctx) {
+            if (ctx.rank() == 2) throw std::runtime_error("worker 2 failed");
+            if (ctx.rank() == 0) {
+              EventSystem es(ctx, opts, nullptr, nullptr);
+              ASSERT_TRUE(
+                  eventually([&] { return ctx.universe().is_dead(2); }));
+              ArchiveWriter h;
+              h.put(AllocHeader{8});
+              EXPECT_THROW(es.run(2, EventKind::Alloc, h.take()),
+                           WorkerDiedError);
+              es.shutdown_cluster();
+            } else {
+              WorkerMemory memory(&ctx.universe(), ctx.rank());
+              omp::TaskRuntime pool(1);
+              EventSystem es(ctx, opts, &memory, &pool);
+              es.wait_until_stopped();
+            }
+          }),
+      std::runtime_error);
+  EXPECT_LT(sw.elapsed_s(), 10.0);
+}
 
 }  // namespace
 }  // namespace ompc::core

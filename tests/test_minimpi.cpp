@@ -655,6 +655,103 @@ TEST_P(MiniMpiConduit, RecvInitFromDeadRankFailsOnStart) {
   });
 }
 
+TEST_P(MiniMpiConduit, CompletionHookFiresOnceOnDelivery) {
+  // The hook runs once, on the delivering thread, when the data lands; a
+  // hook registered on an already-complete request runs at once, inline.
+  Universe::launch(opts(2), [](RankContext& ctx) {
+    Comm comm = ctx.world();
+    if (ctx.rank() == 1) {
+      int v = 0;
+      std::atomic<int> fired{0};
+      Request r = comm.irecv(&v, sizeof v, 0, 4);
+      r.on_complete([&] { fired.fetch_add(1); });
+      comm.send(nullptr, 0, 0, 5);  // release the sender
+      r.wait();
+      while (fired.load() == 0) std::this_thread::yield();
+      EXPECT_EQ(v, 42);
+      const auto caller = std::this_thread::get_id();
+      std::thread::id ran_on;
+      r.on_complete([&] {
+        ran_on = std::this_thread::get_id();
+        fired.fetch_add(1);
+      });
+      EXPECT_EQ(ran_on, caller);
+      EXPECT_EQ(fired.load(), 2);
+    } else {
+      comm.recv(nullptr, 0, 1, 5);
+      const int v = 42;
+      comm.send(&v, sizeof v, 1, 4);
+    }
+  });
+}
+
+TEST_P(MiniMpiConduit, CompletionHookFiresOnKill) {
+  // A kill is a completion too: the hook of an armed receive from a rank
+  // that dies fires, so an event parked on it is never stranded.
+  Universe::launch(opts(2), [](RankContext& ctx) {
+    Comm comm = ctx.world();
+    if (ctx.rank() == 1) {
+      int v = 0;
+      std::atomic<int> fired{0};
+      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
+      recv.start();
+      Request(recv.state()).on_complete([&] { fired.fetch_add(1); });
+      ctx.universe().kill_rank(0, 0);
+      EXPECT_THROW(recv.wait(), RankKilledError);
+      while (fired.load() == 0) std::this_thread::yield();
+      EXPECT_EQ(fired.load(), 1);
+    }
+  });
+}
+
+TEST_P(MiniMpiConduit, PersistentStartClearsTheHook) {
+  // A hook belongs to one cycle: start() drops a hook left from before, so
+  // it cannot fire for a cycle its owner never waited on.
+  Universe::launch(opts(2), [](RankContext& ctx) {
+    Comm comm = ctx.world();
+    if (ctx.rank() == 1) {
+      int v = 0;
+      std::atomic<int> fired{0};
+      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
+      Request(recv.state()).on_complete([&] { fired.fetch_add(1); });
+      recv.start();
+      comm.send(nullptr, 0, 0, 5);
+      recv.wait();
+      EXPECT_EQ(v, 7);
+      EXPECT_EQ(fired.load(), 0);
+    } else {
+      comm.recv(nullptr, 0, 1, 5);
+      const int v = 7;
+      comm.send(&v, sizeof v, 1, 9);
+    }
+  });
+}
+
+TEST_P(MiniMpiConduit, RankExceptionKillsTheRankSoPeersFailFast) {
+  // A rank thread that exits with an unexpected exception is poisoned like
+  // a kill: a peer arming a receive from it fails at once instead of
+  // waiting forever, and launch() rethrows the rank's own exception.
+  const Stopwatch sw;
+  EXPECT_THROW(
+      Universe::launch(opts(2),
+                       [](RankContext& ctx) {
+                         if (ctx.rank() == 1)
+                           throw std::runtime_error("rank 1 failed to boot");
+                         const Stopwatch wait;
+                         while (!ctx.universe().is_dead(1) &&
+                                wait.elapsed_s() < 10.0)
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(1));
+                         ASSERT_TRUE(ctx.universe().is_dead(1));
+                         int v = 0;
+                         PersistentRequest recv =
+                             ctx.world().recv_init(&v, sizeof v, 1, 3);
+                         EXPECT_THROW(recv.start(), RankKilledError);
+                       }),
+      std::runtime_error);
+  EXPECT_LT(sw.elapsed_s(), 10.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Conduits, MiniMpiConduit,
                          ::testing::Values(ConduitKind::InProcess,
                                            ConduitKind::Shm),
