@@ -78,7 +78,7 @@ class ArchiveReader {
     requires std::is_trivially_copyable_v<T>
   T get() {
     T out;
-    OMPC_CHECK_MSG(pos_ + sizeof(T) <= data_.size(),
+    OMPC_CHECK_MSG(sizeof(T) <= remaining(),
                    "archive underflow reading " << sizeof(T) << " bytes at "
                                                 << pos_ << '/' << data_.size());
     std::memcpy(&out, data_.data() + pos_, sizeof(T));
@@ -86,9 +86,12 @@ class ArchiveReader {
     return out;
   }
 
+  // Length prefixes are outside input: each is checked against remaining()
+  // in a form that cannot wrap (never pos_ + n, never n * sizeof(T)).
+
   std::string get_string() {
     const auto n = get<std::uint64_t>();
-    OMPC_CHECK(pos_ + n <= data_.size());
+    check_length(n, 1);
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
@@ -96,7 +99,7 @@ class ArchiveReader {
 
   Bytes get_blob() {
     const auto n = get<std::uint64_t>();
-    OMPC_CHECK(pos_ + n <= data_.size());
+    check_length(n, 1);
     Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
             data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -107,16 +110,16 @@ class ArchiveReader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
     const auto n = get<std::uint64_t>();
-    OMPC_CHECK(pos_ + n * sizeof(T) <= data_.size());
+    check_length(n, sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }
 
   void get_raw(void* out, std::size_t n) {
-    OMPC_CHECK(pos_ + n <= data_.size());
-    std::memcpy(out, data_.data() + pos_, n);
+    check_length(n, 1);
+    if (n != 0) std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }
 
@@ -124,6 +127,14 @@ class ArchiveReader {
   bool exhausted() const noexcept { return pos_ == data_.size(); }
 
  private:
+  /// `n` elements of `elem` bytes each must fit in what is left.
+  void check_length(std::uint64_t n, std::size_t elem) const {
+    OMPC_CHECK_MSG(n <= remaining() / elem,
+                   "archive length prefix " << n << " x " << elem
+                       << " B exceeds the " << remaining()
+                       << " B remaining");
+  }
+
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };

@@ -19,8 +19,8 @@
 //    metadata {owner, shadow address, generation} plus bytes for buffers
 //    whose freshest copy already lives on the head;
 //  - Buddy: WorkerLocal plus one replica on the owner's ring successor
-//    among the live workers, shipped worker->worker over the existing
-//    Exchange path — head traffic per boundary stays O(metadata) while
+//    among the live workers, shipped worker->worker as one RmaPut — head
+//    traffic per boundary stays O(metadata) while
 //    recovery survives the snapshot owner's death.
 //
 // Capture commits in two phases: new-generation shadows are created while
@@ -69,14 +69,11 @@ class CheckpointStore {
   /// ablation baseline).
   CheckpointStore() = default;
 
-  /// `events` may be null, which forces Head locality. `data_plane` picks
-  /// how buddy replicas travel: one RmaPut into the buddy's registered
-  /// block (default) or the two-sided Exchange pair (ablation baseline).
-  CheckpointStore(EventSystem* events, CheckpointLocality locality,
-                  DataPlane data_plane = DataPlane::Rma)
+  /// `events` may be null, which forces Head locality. Buddy replicas
+  /// travel as one RmaPut into the buddy's registered block.
+  CheckpointStore(EventSystem* events, CheckpointLocality locality)
       : events_(events),
-        locality_(events == nullptr ? CheckpointLocality::Head : locality),
-        data_plane_(data_plane) {}
+        locality_(events == nullptr ? CheckpointLocality::Head : locality) {}
 
   /// Whether a snapshot exists to roll back to.
   bool has_checkpoint() const noexcept { return have_; }
@@ -172,8 +169,8 @@ class CheckpointStore {
   void capture_on_head(DataManager& dm, std::vector<Entry>& fresh,
                        const std::vector<std::size_t>& pending);
 
-  /// Worker-local capture: SnapshotSave on each owner (+ buddy replica via
-  /// the Exchange path), pipelined across buffers. On failure the shadows
+  /// Worker-local capture: SnapshotSave on each owner (+ buddy replica by
+  /// RmaPut), pipelined across buffers. On failure the shadows
   /// created so far are parked in orphaned_ and the error rethrown — the
   /// previous generation stays intact.
   void capture_on_workers(DataManager& dm, std::vector<Entry>& fresh,
@@ -182,7 +179,6 @@ class CheckpointStore {
 
   EventSystem* events_ = nullptr;
   CheckpointLocality locality_ = CheckpointLocality::Head;
-  DataPlane data_plane_ = DataPlane::Rma;
 
   std::vector<Entry> entries_;
   std::int64_t wave_ = -1;

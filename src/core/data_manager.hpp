@@ -28,12 +28,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <set>
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/event_system.hpp"
@@ -169,8 +169,8 @@ class DataManager {
   void rebind(EventSystem* events) { events_ = events; }
 
   /// Elastic membership: migrates every `take_every`-th worker-resident
-  /// buffer to `joiner` (a direct transfer from the current owner over the
-  /// configured data plane) and makes the joiner its only worker replica —
+  /// buffer to `joiner` (a direct RmaPut from the current owner) and makes
+  /// the joiner its only worker replica —
   /// the joiner's ownership slice. Returns the number of buffers moved.
   std::size_t migrate_buffers(mpi::Rank joiner, std::size_t take_every);
 
@@ -180,12 +180,13 @@ class DataManager {
   // hash, same live-worker set): the steady-state wave shape is known, so
   // (1) stale replicas keep their device allocations across write
   // invalidations — the next wave's transfer re-uses the block instead of
-  // paying Delete+Alloc round-trips — and (2) repeated transfers ride
-  // fixed channel tags that the destination's pre-posted persistent
-  // receives match (see EventSystem's channel cache). Disarmed on
-  // rollback, membership change, head failover and tenant-set change; the
-  // fixed tags are retired with the plan so recovery can never match a
-  // stale in-flight payload, keeping re-execution bitwise-identical.
+  // paying Delete+Alloc round-trips — and (2) repeated Submits ride fixed
+  // channel tags that the worker's pre-posted persistent receives match,
+  // while repeated forwards re-use pre-armed puts (see EventSystem's
+  // channel cache). Disarmed on rollback, membership change, head failover
+  // and tenant-set change; the fixed tags are retired with the plan so
+  // recovery can never match a stale in-flight payload, keeping
+  // re-execution bitwise-identical.
 
   void arm_channels() { channels_on_.store(true, std::memory_order_release); }
   void disarm_channels();
@@ -270,10 +271,10 @@ class DataManager {
   /// Marks `host` as written since the last checkpoint.
   void mark_dirty(const void* host);
 
-  /// The fixed wire tag of the (buffer, producer, consumer) transfer edge
-  /// (src == -1: head-to-worker Submit). Allocated from the channel space
-  /// on first use, stable until disarm_channels() retires the plan.
-  mpi::Tag channel_tag_for(const void* host, mpi::Rank src, mpi::Rank dst);
+  /// The fixed wire tag of the head-to-worker Submit edge (buffer,
+  /// consumer). Allocated from the event-tag counter on first use, stable
+  /// until disarm_channels() retires the plan.
+  mpi::Tag channel_tag_for(const void* host, mpi::Rank dst);
 
   EventSystem* events_;
   const ClusterOptions opts_;
@@ -288,8 +289,7 @@ class DataManager {
   // current plan's transfer edges.
   std::atomic<bool> channels_on_{false};
   mutable std::mutex channel_tag_mutex_;
-  std::map<std::tuple<const void*, mpi::Rank, mpi::Rank>, mpi::Tag>
-      channel_tags_;
+  std::map<std::pair<const void*, mpi::Rank>, mpi::Tag> channel_tags_;
 
   /// Shared transfer pool for prepare_args fan-out — created with the
   /// manager (once per launch, like the dispatch pool). Elastic: capped at

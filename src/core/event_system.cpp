@@ -19,8 +19,6 @@ const char* to_string(EventKind k) {
     case EventKind::Delete: return "Delete";
     case EventKind::Submit: return "Submit";
     case EventKind::Retrieve: return "Retrieve";
-    case EventKind::ExchangeSend: return "ExchangeSend";
-    case EventKind::ExchangeRecv: return "ExchangeRecv";
     case EventKind::Execute: return "Execute";
     case EventKind::Shutdown: return "Shutdown";
     case EventKind::RankDead: return "RankDead";
@@ -116,24 +114,6 @@ mpi::Payload WorkerMemory::share(offload::TargetPtr ptr,
       reinterpret_cast<const void*>(ptr), size);
 }
 
-offload::TargetPtr WorkerMemory::snapshot(offload::TargetPtr src,
-                                          std::size_t size) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto it = live_.find(src);
-  OMPC_CHECK_MSG(it != live_.end(), "snapshot of unknown device ptr " << src);
-  OMPC_CHECK_MSG(size <= it->second.size,
-                 "snapshot of " << size << " B exceeds allocation of "
-                                << it->second.size << " B");
-  const std::size_t n = size == 0 ? 1 : size;
-  std::shared_ptr<std::byte[]> mem(new std::byte[n]);
-  std::memcpy(mem.get(), it->second.mem.get(), size);
-  const auto tp = reinterpret_cast<offload::TargetPtr>(mem.get());
-  live_.emplace(tp, Block{std::move(mem), n});
-  lock.unlock();
-  if (universe_ != nullptr) register_window(tp);
-  return tp;
-}
-
 void WorkerMemory::retain_only(const std::vector<offload::TargetPtr>& keep) {
   const std::unordered_set<offload::TargetPtr> ks(keep.begin(), keep.end());
   std::vector<offload::TargetPtr> victims;
@@ -212,11 +192,6 @@ EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
       replica_(replica) {
   OMPC_CHECK_MSG(ctx.universe().options().comms >= 1 + opts.vci,
                  "universe must pre-create 1 control + vci data comms");
-  OMPC_CHECK_MSG(rank_ < kMaxChannelRanks,
-                 "rank " << rank_ << " exceeds the channel-tag stripe count "
-                         << kMaxChannelRanks);
-  next_channel_tag_.store(kChannelTagBase + rank_ * kChannelTagsPerRank,
-                          std::memory_order_relaxed);
   data_comms_.reserve(static_cast<std::size_t>(opts.vci));
   for (int i = 0; i < opts.vci; ++i)
     data_comms_.push_back(ctx.comm(1 + i));
@@ -255,15 +230,9 @@ mpi::Comm EventSystem::data_comm_for(mpi::Tag tag) const {
 }
 
 mpi::Tag EventSystem::allocate_tag() {
-  mpi::Tag t = next_tag_.fetch_add(1, std::memory_order_relaxed);
-  OMPC_CHECK_MSG(t < kChannelTagBase, "event tag space exhausted");
-  return t;
-}
-
-mpi::Tag EventSystem::allocate_channel_tag() {
-  const mpi::Tag t = next_channel_tag_.fetch_add(1, std::memory_order_relaxed);
-  OMPC_CHECK_MSG(t < kChannelTagBase + (rank_ + 1) * kChannelTagsPerRank,
-                 "channel tag space exhausted for rank " << rank_);
+  const mpi::Tag t = next_tag_.fetch_add(1, std::memory_order_relaxed);
+  OMPC_CHECK_MSG(t <= mpi::kMaxUserTag,
+                 "event tag space exhausted on rank " << rank_);
   return t;
 }
 
@@ -362,7 +331,6 @@ void EventSystem::fail_local() {
     origin_events_.clear();
   }
   origin_cv_.notify_all();
-  wake_parked();
   // No cancel here: the poison that killed this rank already killed its
   // posted receives; fail() force-completes any landing-buffer request.
   for (auto& ev : victims) ev->fail(rank_);
@@ -383,7 +351,6 @@ void EventSystem::fail_rank(mpi::Rank dead) {
     }
   }
   origin_cv_.notify_all();
-  wake_parked();
   for (auto& ev : victims) {
     // Unpost a pending Retrieve landing buffer first: an in-flight payload
     // (sent before the death) arriving after recovery restored that host
@@ -518,23 +485,13 @@ std::vector<EventSystem::RemoteEvent> EventSystem::EventQueue::unpark_locked(
   return out;
 }
 
-bool EventSystem::EventQueue::wake_locked(bool all) {
-  if (all) ++deaths;
-  std::vector<RemoteEvent> woken = unpark_locked(all);
+bool EventSystem::EventQueue::wake_idle_locked() {
+  std::vector<RemoteEvent> woken = unpark_locked(false);
   for (auto& ev : woken) {
     ev.resumed = true;
     ready.push_back(std::move(ev));
   }
   return !woken.empty();
-}
-
-void EventSystem::wake_parked() {
-  bool woke;
-  {
-    std::lock_guard<std::mutex> lock(queue_->mutex);
-    woke = queue_->wake_locked(true);
-  }
-  if (woke) queue_->cv.notify_all();
 }
 
 void EventSystem::gate_main() {
@@ -562,11 +519,10 @@ void EventSystem::gate_main() {
           }
           // Any cached channel shape may involve the corpse, and the head
           // retires every channel tag on recovery anyway: drop the cache
-          // wholesale so no pre-posted slot outlives the failure.
+          // wholesale so no pre-posted slot outlives the failure. Parked
+          // events need no wake: the kill already completed every request
+          // that waits on the corpse, and its hook resumed them.
           clear_channels();
-          // Resume every parked event so it re-evaluates its abort paths
-          // (ExchangeRecv's dead peer / dead origin) against the new set.
-          wake_parked();
           continue;
         }
         RemoteEvent ev;
@@ -580,8 +536,8 @@ void EventSystem::gate_main() {
           auto it = origin_events_.find(c.tag);
           if (it == origin_events_.end()) {
             // A completion can outlive its event: fail_rank() already
-            // failed it, or a worker aborted an exchange half whose origin
-            // gave up. Late completions are dropped, not protocol errors.
+            // failed it (a worker still acks an RmaPut whose peer died).
+            // Late completions are dropped, not protocol errors.
             OMPC_LOG_WARN("dropping late completion for event tag " << c.tag);
             continue;
           }
@@ -608,14 +564,19 @@ void EventSystem::handler_main() {
   EventQueue& q = *queue_;
   for (;;) {
     RemoteEvent ev;
-    WakeEpochs seen;
+    std::uint64_t seen_exits = 0;
     {
       std::unique_lock<std::mutex> lock(q.mutex);
       q.cv.wait(lock, [&] { return stop_.load() || !q.ready.empty(); });
       if (q.ready.empty()) return;  // stop and drained
       ev = std::move(q.ready.front());
       q.ready.pop_front();
-      seen = {q.deaths, q.exits};
+      seen_exits = q.exits;
+      // Counted active in the same critical section that pops it, so
+      // TrimHeap's gate (which reads both under this lock) can never see
+      // the event in neither place. Held only while inside progress(), so
+      // a parked event does not starve that gate.
+      active_events_.fetch_add(1, std::memory_order_acq_rel);
     }
     if (ev.resumed) {
       stats_.resumed.fetch_add(1, std::memory_order_relaxed);
@@ -623,9 +584,6 @@ void EventSystem::handler_main() {
     }
     bool finished = true;
     bool died = false;
-    // The active counter is held only while inside progress(), so a parked
-    // event does not starve TrimHeap's only-active-event gate.
-    active_events_.fetch_add(1, std::memory_order_acq_rel);
     try {
       finished = progress(ev);
     } catch (const mpi::RankKilledError&) {
@@ -637,11 +595,11 @@ void EventSystem::handler_main() {
     if (finished && !died)
       stats_.handled.fetch_add(1, std::memory_order_relaxed);
     // Pending I/O (step 5b, Fig. 3): park until a wake source fires.
-    settle(finished ? nullptr : &ev, seen);
+    settle(finished ? nullptr : &ev, seen_exits);
   }
 }
 
-void EventSystem::settle(RemoteEvent* pending, WakeEpochs seen) {
+void EventSystem::settle(RemoteEvent* pending, std::uint64_t seen_exits) {
   EventQueue& q = *queue_;
   // What the pending event waits on; none means TrimHeap's idle gate.
   mpi::Request waiting;
@@ -659,12 +617,13 @@ void EventSystem::settle(RemoteEvent* pending, WakeEpochs seen) {
   bool hooked = false;
   {
     std::lock_guard<std::mutex> lock(q.mutex);
-    // A wake that fired while the event was inside progress() found
-    // nothing parked to move: resume at once instead of parking past it.
-    const bool missed =
-        q.deaths != seen.deaths || (!waiting.valid() && q.exits != seen.exits);
+    // A TrimHeap wake that fired while the event was inside progress()
+    // found nothing parked to move: resume at once instead of parking past
+    // it. (An event on a request needs no such check: its hook is
+    // registered below, and fires at once if the request is already done.)
+    const bool missed = !waiting.valid() && q.exits != seen_exits;
     ++q.exits;
-    woke = q.wake_locked(false);
+    woke = q.wake_idle_locked();
     if (pending != nullptr) {
       stats_.parked.fetch_add(1, std::memory_order_relaxed);
       if (stop_.load(std::memory_order_acquire)) {
@@ -755,15 +714,16 @@ std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
 
 std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
     mpi::Tag data_tag, offload::TargetPtr dst, std::uint64_t size,
-    mpi::Rank peer) {
+    mpi::Rank origin) {
+  const RecvKey key{origin, data_tag};
   std::shared_ptr<RecvChannel> ch;
   {
     std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(data_tag);
+    const auto it = recv_channels_.find(key);
     if (it != recv_channels_.end()) {
       RecvChannel& e = *it->second;
       if (e.in_use) return nullptr;
-      if (e.dst == dst && e.size == size && e.peer == peer) {
+      if (e.dst == dst && e.size == size) {
         ch = it->second;
         ch->in_use = true;
       } else {
@@ -777,12 +737,11 @@ std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
       ch = std::make_shared<RecvChannel>();
       ch->dst = dst;
       ch->size = size;
-      ch->peer = peer;
       ch->pr = data_comm_for(data_tag).recv_init(
-          reinterpret_cast<void*>(dst), size, peer, data_tag);
+          reinterpret_cast<void*>(dst), size, origin, data_tag);
       ch->in_use = true;
       std::lock_guard<std::mutex> lock(channel_mutex_);
-      recv_channels_[data_tag] = ch;
+      recv_channels_[key] = ch;
     } catch (...) {
       return nullptr;
     }
@@ -790,10 +749,10 @@ std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
   try {
     ch->pr.start();
   } catch (...) {
-    // Peer already dead (RankKilledError): fall back to the transient
-    // irecv, whose dead-peer abort path acks the event.
+    // Origin already dead (RankKilledError): fall back to a transient
+    // irecv, which still matches a payload that landed before the death.
     std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(data_tag);
+    const auto it = recv_channels_.find(key);
     if (it != recv_channels_.end() && it->second == ch)
       recv_channels_.erase(it);
     ch->in_use = false;
@@ -850,7 +809,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::Submit: {
       const auto h = header.get<SubmitHeader>();
       if (ev.phase == 0) {
-        if (opts_.persistent_channels && h.data_tag >= kChannelTagBase) {
+        if (opts_.persistent_channels && h.data_tag != 0) {
           ev.recv_channel =
               arm_recv_channel(h.data_tag, h.dst, h.size, a.origin);
           if (ev.recv_channel != nullptr) ev.phase = 2;
@@ -873,7 +832,7 @@ bool EventSystem::progress(RemoteEvent& ev) {
           // pre-posted slot (never a zombie). Retire the channel and ack;
           // the promoted head drops this completion as late.
           std::lock_guard<std::mutex> lock(channel_mutex_);
-          const auto it = recv_channels_.find(h.data_tag);
+          const auto it = recv_channels_.find(RecvKey{a.origin, h.data_tag});
           if (it != recv_channels_.end() && it->second == ev.recv_channel)
             recv_channels_.erase(it);
         }
@@ -902,19 +861,14 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::SnapshotSave: {
       const auto h = header.get<SnapshotSaveHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      offload::TargetPtr shadow = 0;
-      if (opts_.data_plane == DataPlane::Rma) {
-        // Allocate the shadow (auto-registered as a window) and fill it
-        // with a rank-local self-put: the same one-sided path the
-        // cross-rank transfers use, delivered inline since src == dst.
-        shadow = memory_->alloc(h.size);
-        data_comm_for(a.tag)
-            .put(rank_, shadow, 0, memory_->share(h.src, h.size),
-                 kTagSnapshotPut)
-            .wait();
-      } else {
-        shadow = memory_->snapshot(h.src, h.size);
-      }
+      // Allocate the shadow (auto-registered as a window) and fill it with
+      // a rank-local self-put: the same one-sided path the cross-rank
+      // transfers use, delivered inline since src == dst.
+      const offload::TargetPtr shadow = memory_->alloc(h.size);
+      data_comm_for(a.tag)
+          .put(rank_, shadow, 0, memory_->share(h.src, h.size),
+               kTagSnapshotPut)
+          .wait();
       ArchiveWriter w;
       w.put(shadow);
       send_completion(a.origin, a.tag, w.take());
@@ -979,85 +933,6 @@ bool EventSystem::progress(RemoteEvent& ev) {
       send_completion(a.origin, a.tag, {});
       return true;
     }
-    case EventKind::ExchangeSend: {
-      const auto h = header.get<ExchangeSendHeader>();
-      OMPC_CHECK(memory_ != nullptr);
-      data_comm_for(h.data_tag).isend_payload(memory_->share(h.src, h.size),
-                                             h.peer, h.data_tag);
-      send_completion(a.origin, a.tag, {});
-      return true;
-    }
-    case EventKind::ExchangeRecv: {
-      const auto h = header.get<ExchangeRecvHeader>();
-      if (ev.phase == 0) {
-        if (opts_.persistent_channels && h.data_tag >= kChannelTagBase) {
-          ev.recv_channel = arm_recv_channel(h.data_tag, h.dst, h.size,
-                                             h.peer);
-          if (ev.recv_channel != nullptr) ev.phase = 2;
-        }
-        if (ev.phase == 0) {
-          ev.io = data_comm_for(h.data_tag).irecv(
-              reinterpret_cast<void*>(h.dst), h.size, h.peer, h.data_tag);
-          ev.phase = 1;
-        }
-      }
-      bool landed = false;
-      if (ev.phase == 2) {
-        try {
-          landed = ev.recv_channel->pr.test();
-        } catch (const mpi::RankKilledError& e) {
-          if (e.rank() == rank_) throw;
-          // The peer died with the cycle armed: fail_persistent_from
-          // cancelled the pre-posted slot (the satellite kill-safety
-          // contract — never a zombie). Retire the channel and ack.
-          {
-            std::lock_guard<std::mutex> lock(channel_mutex_);
-            const auto it = recv_channels_.find(h.data_tag);
-            if (it != recv_channels_.end() && it->second == ev.recv_channel)
-              recv_channels_.erase(it);
-            ev.recv_channel->in_use = false;
-          }
-          ev.recv_channel.reset();
-          send_completion(a.origin, a.tag, {});
-          return true;
-        }
-      } else {
-        landed = ev.io.test();
-      }
-      if (!landed) {
-        // A payload from a dead peer will never arrive; abort the event
-        // instead of parking it forever (the death resumes it to get here).
-        // The head has already failed the origin half, so this completion
-        // is dropped there as late.
-        // A dead *origin* aborts too: a head that died after starting this
-        // half but before starting the matching send leaves the payload
-        // unsent forever, and the promoted head must be able to drain us.
-        // Unpost the irecv: recovery may free h.dst, and a stale in-flight
-        // payload landing there afterwards would be a use-after-free.
-        if (is_rank_dead(h.peer) || is_rank_dead(a.origin)) {
-          if (ev.phase == 2) {
-            // Dropping the last channel ref disarms the pre-posted slot.
-            std::lock_guard<std::mutex> lock(channel_mutex_);
-            const auto it = recv_channels_.find(h.data_tag);
-            if (it != recv_channels_.end() && it->second == ev.recv_channel)
-              recv_channels_.erase(it);
-            ev.recv_channel.reset();
-          } else {
-            control_.cancel(ev.io);
-          }
-          send_completion(a.origin, a.tag, {});
-          return true;
-        }
-        return false;
-      }
-      if (ev.phase == 2) {
-        std::lock_guard<std::mutex> lock(channel_mutex_);
-        ev.recv_channel->in_use = false;
-        ev.recv_channel.reset();
-      }
-      send_completion(a.origin, a.tag, {});
-      return true;
-    }
     case EventKind::HeadState: {
       // Replication update. Like Submit, the payload is posted before the
       // announce, so the irecv always matches — no dead-origin abort needed.
@@ -1083,9 +958,10 @@ bool EventSystem::progress(RemoteEvent& ev) {
       // is the only active event and the queue is drained.
       {
         std::lock_guard<std::mutex> lock(queue_->mutex);
-        if (!queue_->ready.empty()) return false;
+        if (!queue_->ready.empty() ||
+            active_events_.load(std::memory_order_acquire) != 1)
+          return false;
       }
-      if (active_events_.load(std::memory_order_acquire) != 1) return false;
       const auto h = header.get<TrimHeapHeader>();
       std::vector<offload::TargetPtr> keep;
       keep.reserve(h.keep_count);

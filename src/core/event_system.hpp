@@ -7,9 +7,9 @@
 //  - a pool of *event handlers* executes queued events as state machines.
 //    An event whose I/O is still pending is parked: it goes back on the
 //    handler queue only when something it waits on changes — its request
-//    completes (a one-shot minimpi completion hook), the rank learns of a
-//    death, or, for TrimHeap, another event leaves a handler. No handler
-//    sleeps or polls on pending I/O;
+//    completes (a one-shot minimpi completion hook; a rank death completes
+//    every request that waits on the corpse), or, for TrimHeap, another
+//    event leaves a handler. No handler sleeps or polls on pending I/O;
 //  - origin threads (the head's helper threads) create events, each with a
 //    unique tag; every data message of an event travels on a data
 //    communicator chosen round-robin by that tag (the VCI striping of
@@ -42,7 +42,7 @@ class ReplicaStore;
 /// events manage. Head code never dereferences these addresses (distinct
 /// address spaces by discipline, README "Simulation design").
 ///
-/// Blocks are shared-ownership so outbound payloads (Retrieve/ExchangeSend)
+/// Blocks are shared-ownership so outbound payloads (Retrieve, RmaPut)
 /// can send device memory zero-copy: share() pins the block for the life of
 /// the in-flight message, surviving a concurrent Delete event and even this
 /// rank dying with the payload still on the simulated wire.
@@ -71,11 +71,6 @@ class WorkerMemory {
   /// real heap by up to one boundary, so a SnapshotDrop may name a shadow
   /// this rank already released — a legitimate no-op, not a double free.
   bool try_free(offload::TargetPtr ptr);
-
-  /// Worker-local checkpoint shadow (SnapshotSave): allocates a fresh block
-  /// and copies `size` bytes from the live allocation at `src` (a block
-  /// base) into it, entirely rank-local. Returns the shadow's address.
-  offload::TargetPtr snapshot(offload::TargetPtr src, std::size_t size);
 
   /// Zero-copy read view of the allocation starting at `ptr` (must be a
   /// block base), pinned for the payload's lifetime.
@@ -112,9 +107,8 @@ class WorkerMemory {
 /// thread until the destination's completion notification arrives.
 class OriginEvent {
  public:
-  /// `peer` is the third rank involved, if any (the opposite half of a
-  /// worker->worker exchange); a failure of either dest or peer fails the
-  /// event.
+  /// `peer` is the third rank involved, if any (the target of an RmaPut
+  /// forward); a failure of either dest or peer fails the event.
   OriginEvent(mpi::Tag tag, EventKind kind, mpi::Rank dest,
               mpi::Rank peer = mpi::kAnySource)
       : tag_(tag), kind_(kind), dest_(dest), peer_(peer) {}
@@ -125,7 +119,7 @@ class OriginEvent {
   mpi::Rank peer() const noexcept { return peer_; }
 
   /// Blocks until completion; returns the destination's result blob.
-  /// Throws WorkerDiedError if the destination (or exchange peer) died
+  /// Throws WorkerDiedError if the destination (or its put peer) died
   /// before completing the event.
   const Bytes& wait();
 
@@ -185,9 +179,9 @@ class EventSystem {
   // --- origin API (head helper threads) --------------------------------
 
   /// Creates an event, ships its notification (and eager payload, for
-  /// Submit) and returns the waitable origin half. `peer` marks the other
-  /// half of a worker->worker exchange (failure of either rank fails the
-  /// event). Throws WorkerDiedError when dest/peer is already known dead.
+  /// Submit) and returns the waitable origin half. `peer` marks the target
+  /// of a worker->worker RmaPut (failure of either rank fails the event).
+  /// Throws WorkerDiedError when dest/peer is already known dead.
   /// A borrowed payload is safe here: the destination completes the event
   /// only after delivery, and the origin blocks in wait() until then.
   OriginEventPtr start(mpi::Rank dest, EventKind kind, Bytes header,
@@ -206,14 +200,11 @@ class EventSystem {
   Bytes run(mpi::Rank dest, EventKind kind, Bytes header,
             mpi::Payload payload = {});
 
-  /// Fresh event tag (unique per origin rank).
+  /// Fresh event or persistent-channel tag. The counter is per origin rank
+  /// and never repeats, and every receive of a tag is posted for its exact
+  /// origin, so a promoted head cannot match the dead head's orphaned
+  /// payloads even when the two counters meet on the same value.
   mpi::Tag allocate_tag();
-
-  /// Fresh persistent-channel tag from this rank's slice of the reserved
-  /// top-of-range channel space (see kChannelTagBase). Striped per rank so
-  /// a promoted head can never re-issue a tag the dead head's orphaned
-  /// payloads still carry.
-  mpi::Tag allocate_channel_tag();
 
   /// Ships `payload` to `dest` on the data comm selected by `tag`, outside
   /// any event. The persistent Submit path uses this to put the payload on
@@ -223,13 +214,13 @@ class EventSystem {
   // --- fault handling (paper §5) ---------------------------------------
 
   /// Declares `dead` failed: every origin event whose destination or
-  /// exchange peer is `dead` completes exceptionally (wait() throws
+  /// put peer is `dead` completes exceptionally (wait() throws
   /// WorkerDiedError) and future start()s to it throw immediately.
   /// Thread-safe; called by the failure detector on the head.
   void fail_rank(mpi::Rank dead);
 
-  /// Head only: tells every live worker that `dead` died, so they abort
-  /// pending events (exchange halves) that involve it.
+  /// Head only: tells every live worker that `dead` died, so they drop
+  /// their channel caches and re-check parked events against it.
   void announce_rank_dead(mpi::Rank dead);
 
   /// Whether `r` has been declared dead (local knowledge).
@@ -276,14 +267,15 @@ class EventSystem {
   using PutKey = std::tuple<mpi::Rank, offload::TargetPtr, std::uint64_t,
                             offload::TargetPtr, std::uint64_t>;
 
-  /// Pre-posted receive on a fixed channel tag (Submit / ExchangeRecv).
+  /// Pre-posted receive of a Submit payload on a fixed channel tag.
   struct RecvChannel {
     mpi::PersistentRequest pr;
     offload::TargetPtr dst = 0;
     std::uint64_t size = 0;
-    mpi::Rank peer = -1;
     bool in_use = false;
   };
+  /// (origin, channel tag): each origin allocates its own tags.
+  using RecvKey = std::pair<mpi::Rank, mpi::Tag>;
 
   /// Destination half of an event (the E_D of Figure 3).
   struct RemoteEvent {
@@ -291,7 +283,7 @@ class EventSystem {
     std::uint64_t id = 0;  ///< rank-local, fixed at enqueue; keys the lot
     bool resumed = false;  ///< woken from the parking lot, not yet counted
     int phase = 0;
-    mpi::Request io;  ///< pending irecv for Submit / ExchangeRecv
+    mpi::Request io;  ///< pending irecv (Submit, HeadState) or put (RmaPut)
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
     std::shared_ptr<PutChannel> put_channel;    ///< phase 2: persistent put
     std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
@@ -310,8 +302,7 @@ class EventSystem {
     /// TrimHeap events waiting to be the only active event.
     std::vector<RemoteEvent> idle_waiters;
     std::uint64_t next_id = 0;
-    /// Wake epochs: dead-rank wakes, and handler exits from progress().
-    std::uint64_t deaths = 0;
+    /// Wake epoch of the idle waiters: handler exits from progress().
     std::uint64_t exits = 0;
 
     /// Completion hook body: moves event `id` back to `ready` if it is
@@ -320,16 +311,9 @@ class EventSystem {
     /// Takes the idle waiters (and with `all`, every parked event) out of
     /// the lot. Caller holds `mutex`.
     std::vector<RemoteEvent> unpark_locked(bool all);
-    /// Moves every idle waiter (and with `all`, every parked event: a
-    /// dead-rank wake) back to `ready`; true when any moved. Caller holds
-    /// `mutex`.
-    bool wake_locked(bool all);
-  };
-
-  /// EventQueue's epochs as a handler saw them when it popped an event.
-  struct WakeEpochs {
-    std::uint64_t deaths = 0;
-    std::uint64_t exits = 0;
+    /// Moves every idle waiter back to `ready`; true when any moved.
+    /// Caller holds `mutex`.
+    bool wake_idle_locked();
   };
 
   /// Finds-or-creates and start()s the put channel for `h`; null means
@@ -338,13 +322,13 @@ class EventSystem {
   std::shared_ptr<PutChannel> arm_put_channel(const RmaPutHeader& h,
                                               mpi::Tag tag);
 
-  /// Finds-or-creates and start()s the recv channel on `data_tag` (shape
-  /// mismatches rebuild the entry — the destination block moved); null
-  /// means fall back to a transient irecv this time.
+  /// Finds-or-creates and start()s the recv channel for `origin`'s
+  /// `data_tag` (shape mismatches rebuild the entry — the destination
+  /// block moved); null means fall back to a transient irecv this time.
   std::shared_ptr<RecvChannel> arm_recv_channel(mpi::Tag data_tag,
                                                 offload::TargetPtr dst,
                                                 std::uint64_t size,
-                                                mpi::Rank peer);
+                                                mpi::Rank origin);
 
   /// Drops every channel that reads or writes the local block at `p`
   /// (about to be freed by a Delete event).
@@ -358,19 +342,16 @@ class EventSystem {
 
   /// Handler loop: pops a ready event and advances it with progress(). An
   /// event left with pending I/O is parked by settle() and returns to the
-  /// ready queue only when woken: by its request's completion hook, by new
-  /// dead-rank knowledge (wake_parked) or, for TrimHeap, by another event
-  /// leaving a handler. No handler sleeps or polls.
+  /// ready queue only when woken: by its request's completion hook or, for
+  /// TrimHeap, by another event leaving a handler. No handler sleeps or
+  /// polls.
   void handler_main();
 
   /// After a handler leaves progress(): wakes the TrimHeap idle waiters
   /// (the active-event count just changed), then parks `pending`, if set,
-  /// until its request completes. A wake that fired since `seen` requeues
-  /// it at once instead; stopped, it is released.
-  void settle(RemoteEvent* pending, WakeEpochs seen);
-
-  /// New dead-rank knowledge: every parked event re-checks its abort paths.
-  void wake_parked();
+  /// until its request completes. An idle wake that fired since
+  /// `seen_exits` requeues it at once instead; stopped, it is released.
+  void settle(RemoteEvent* pending, std::uint64_t seen_exits);
 
   /// This rank died (gate caught RankKilledError): declare self dead and
   /// fail every outstanding origin event, so origin waiters unblock —
@@ -402,13 +383,12 @@ class EventSystem {
   std::unordered_map<mpi::Tag, OriginEventPtr> origin_events_;
   std::unordered_set<mpi::Rank> dead_ranks_;
   std::atomic<mpi::Tag> next_tag_{kFirstEventTag};
-  std::atomic<mpi::Tag> next_channel_tag_{0};  ///< set per rank in the ctor
 
   // Channel caches (see the structs above). The mutex guards the maps and
   // the in_use flags; a cycle in flight is owned by exactly one handler.
   std::mutex channel_mutex_;
   std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
-  std::unordered_map<mpi::Tag, std::shared_ptr<RecvChannel>> recv_channels_;
+  std::map<RecvKey, std::shared_ptr<RecvChannel>> recv_channels_;
 
   // Local destination-event queue and parking lot. active_events_ counts
   // events currently inside progress() — TrimHeap defers until it is the

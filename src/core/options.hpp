@@ -42,23 +42,11 @@ enum class CheckpointLocality {
   /// buffers). No redundancy: the snapshot dies with its owner.
   WorkerLocal,
   /// WorkerLocal plus one replica on a buddy rank (the owner's ring
-  /// successor among the live workers), shipped over the direct
-  /// worker->worker Exchange path. Recovery survives the owner's death;
+  /// successor among the live workers), shipped as one RmaPut straight
+  /// into the buddy's block. Recovery survives the owner's death;
   /// owner AND buddy dying in one period degrades to a clean
   /// RecoveryError (or the head entry when one exists).
   Buddy,
-};
-
-/// How bulk buffer bytes travel between ranks (exchange, buddy replicas).
-enum class DataPlane {
-  /// Two-sided baseline: every forward is an ExchangeSend/ExchangeRecv
-  /// event pair rendezvousing on a shared data tag (5 control+data
-  /// messages per forward). Kept for bench/ablation comparison.
-  Rendezvous,
-  /// One-sided: a single RmaPut event; the producer puts straight into the
-  /// consumer's pre-registered window (4 messages per forward, no receive
-  /// handler on the consumer's event path).
-  Rma,
 };
 
 /// Task-to-worker scheduling policy (§4.4 + ablations).
@@ -115,7 +103,6 @@ struct ClusterOptions {
 
   AsyncMode async_mode = AsyncMode::HelperThreads;
   Forwarding forwarding = Forwarding::Direct;
-  DataPlane data_plane = DataPlane::Rma;
   SchedulerKind scheduler = SchedulerKind::Heft;
 
   /// Persistent message channels (ablation knob, bench/fig5_halo): when the

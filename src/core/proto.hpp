@@ -26,8 +26,6 @@ enum class EventKind : std::uint8_t {
   Delete,        ///< free device memory
   Submit,        ///< receive buffer data from the origin (host -> worker)
   Retrieve,      ///< send buffer data to the origin (worker -> host)
-  ExchangeSend,  ///< send a local buffer directly to another worker
-  ExchangeRecv,  ///< receive a buffer directly from another worker
   Execute,       ///< run a registered kernel on local device memory
   Shutdown,      ///< stop the event system (sent once by the head)
   RankDead,      ///< head -> workers: a rank died; abort events touching it
@@ -40,10 +38,10 @@ enum class EventKind : std::uint8_t {
   SnapshotFetch,  ///< send shadow bytes to the origin (restore path) —
                   ///< wire-identical to Retrieve, distinct for accounting
 
-  /// One-sided forward: the destination rank puts a local region straight
-  /// into a pre-registered window of `peer` (Comm::put). Replaces the
-  /// ExchangeSend/ExchangeRecv pair on the RMA data plane — one event, no
-  /// receive posted at the peer, the bytes land via the window registry.
+  /// One-sided forward (§4.3 worker->worker): the destination rank puts a
+  /// local region straight into a pre-registered window of `peer`
+  /// (Comm::put) — one event, no receive posted at the peer, the bytes
+  /// land via the window registry.
   RmaPut,
 
   // Head failover / elastic membership (§5 extension).
@@ -89,22 +87,9 @@ enum ControlTag : mpi::Tag {
 /// event data message and none of the control traffic.
 inline constexpr mpi::Tag kFirstEventTag = mpi::kFirstDataTag;
 
-/// Persistent-channel tag space: the top 2^20 user tags are reserved for
-/// pre-posted wave-shape channels (EventSystem::allocate_channel_tag).
-/// Ordinary event tags (allocate_tag) stay strictly below this base, so a
-/// channel's fixed (rank, tag) shape can never match transient traffic.
-inline constexpr mpi::Tag kChannelTagBase = mpi::kMaxUserTag - (1 << 20) + 1;
-
-/// Channel tags are striped per origin rank (rank r allocates from
-/// [base + r * stripe, base + (r+1) * stripe)), so a head promoted after a
-/// failover can never re-issue a tag whose orphaned payloads — sent under
-/// the dead head — might still sit in a worker's unexpected queue.
-inline constexpr mpi::Tag kChannelTagsPerRank = 1 << 14;
-inline constexpr int kMaxChannelRanks = (1 << 20) / kChannelTagsPerRank;
-
 // Layout invariants of the tag map. Control tags are pairwise distinct and
-// below the data boundary; event tags start at the boundary; channel tags
-// occupy the top of the user range without touching the collective space.
+// below the data boundary; event tags (persistent-channel tags included —
+// EventSystem::allocate_tag hands out both) start at the boundary.
 static_assert(kTagNewEvent != kTagComplete &&
               kTagComplete != kTagSnapshotPut &&
               kTagNewEvent != kTagSnapshotPut);
@@ -112,12 +97,6 @@ static_assert(kTagNewEvent > 0 && kTagSnapshotPut < mpi::kFirstDataTag,
               "control tags must stay below the data-tag boundary");
 static_assert(kFirstEventTag >= mpi::kFirstDataTag,
               "event data tags must be visible to copy accounting");
-static_assert(kFirstEventTag < kChannelTagBase &&
-                  kChannelTagBase <= mpi::kMaxUserTag,
-              "channel tags must not overlap transient event tags");
-static_assert(kChannelTagBase + kMaxChannelRanks * kChannelTagsPerRank - 1 ==
-                  mpi::kMaxUserTag,
-              "per-rank channel stripes must tile the channel space exactly");
 
 // --- event headers (serialized into the new-event notification) ---------
 
@@ -158,26 +137,9 @@ struct SnapshotDropHeader {
 };
 
 /// Broadcast by the head after the failure detector declares a rank dead so
-/// workers abort events (pending exchanges) that involve the corpse.
+/// workers drop their channel caches and re-check their parked events.
 struct RankDeadHeader {
   mpi::Rank rank = -1;
-};
-
-/// The two halves of a worker->worker forward share one wire tag
-/// (`data_tag`) so the payload matches even though each half is its own
-/// event with its own notification tag.
-struct ExchangeSendHeader {
-  offload::TargetPtr src = 0;
-  std::uint64_t size = 0;
-  mpi::Rank peer = 0;      ///< destination worker rank
-  mpi::Tag data_tag = 0;   ///< tag of the payload message
-};
-
-struct ExchangeRecvHeader {
-  offload::TargetPtr dst = 0;
-  std::uint64_t size = 0;
-  mpi::Rank peer = 0;      ///< source worker rank
-  mpi::Tag data_tag = 0;   ///< tag of the payload message
 };
 
 /// RmaPut: the destination rank writes [src, src+size) of its device heap

@@ -20,7 +20,7 @@ Runtime::Runtime(const ClusterOptions& opts, EventSystem& events,
       events_(&events),
       dm_(events, opts),
       graph_(fresh_graph()),
-      ckpt_(&events, opts.checkpoint_locality, opts.data_plane),
+      ckpt_(&events, opts.checkpoint_locality),
       bus_(bus) {
   // Scheduler processors map onto this live-worker table; recovery shrinks
   // it, which is how survivors are re-ranked after a failure. Spare ranks
@@ -334,7 +334,7 @@ void Runtime::report_worker_failure(mpi::Rank dead) {
                                                std::memory_order_acq_rel);
   failures_reported_.fetch_add(1, std::memory_order_acq_rel);
   // Abort in-flight events touching the corpse (helper threads unwind with
-  // WorkerDiedError) and tell live workers to drop its pending exchanges.
+  // WorkerDiedError) and tell live workers to drop channels involving it.
   ev->fail_rank(dead);
   ev->announce_rank_dead(dead);
 }
@@ -1148,8 +1148,8 @@ void Runtime::failover() {
   adopt_replica();
   schedule_cache_.clear();
   // The dead head's ChannelPlan dies with it: replay runs transient, and
-  // the promoted head's channel-tag stripe is disjoint from the old one,
-  // so orphaned payloads can never match a new channel.
+  // every worker posts the promoted head's channel receives for the new
+  // head's rank, so the dead head's orphaned payloads can never match one.
   dm_.disarm_channels();
 
   // The old head is a corpse to the new event plane too: abort anything
@@ -1473,14 +1473,6 @@ void Runtime::process_membership_requests() {
 
 RuntimeStats launch(const ClusterOptions& opts,
                     const std::function<void(Runtime&)>& head_main) {
-  // Every rank's event system owns one stripe of the persistent-channel tag
-  // space; fail here, before any rank thread starts, rather than in a rank
-  // constructor while its peers wait on it.
-  OMPC_CHECK_MSG(opts.ranks() <= kMaxChannelRanks,
-                 opts.ranks() << " ranks (num_workers + spare_workers + 1 "
-                                 "head) exceed the "
-                              << kMaxChannelRanks
-                              << "-rank limit of the channel-tag stripes");
   const Stopwatch wall;
   RuntimeStats stats;
 

@@ -40,11 +40,17 @@ Universe::Universe(const UniverseOptions& opts)
 Universe::~Universe() = default;
 
 void Universe::execute_kill(Rank r, const char* why) {
+  if (mark_dead(r)) poison_dead(r, why);
+}
+
+bool Universe::mark_dead(Rank r) {
   OMPC_CHECK(r >= 0 && r < opts_.ranks);
   bool expected = false;
-  if (!dead_[static_cast<std::size_t>(r)].compare_exchange_strong(expected,
-                                                                  true))
-    return;
+  return dead_[static_cast<std::size_t>(r)].compare_exchange_strong(expected,
+                                                                    true);
+}
+
+void Universe::poison_dead(Rank r, const char* why) {
   OMPC_LOG_WARN(why << ": killing rank " << r);
   mailbox(r).poison(r);
   // One-sided ops are not posted receives, so poisoning cannot reach them:
@@ -68,25 +74,33 @@ void Universe::kill_rank(Rank r, std::int64_t at_ns) {
 void Universe::reaper_main() {
   std::unique_lock<std::mutex> lock(kill_mutex_);
   for (;;) {
-    // Fire everything that is due; find the next deadline.
+    // Collect everything that is due; find the next deadline.
     const std::int64_t elapsed =
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              run_start_)
             .count();
     std::int64_t next_due = -1;
+    std::vector<Rank> due;
     for (auto it = pending_kills_.begin(); it != pending_kills_.end();) {
       if (it->at_ns <= elapsed) {
-        const Rank r = it->rank;
+        due.push_back(it->rank);
         it = pending_kills_.erase(it);
-        lock.unlock();
-        execute_kill(r);
-        lock.lock();
-        // Restart the scan: the list may have changed while unlocked.
-        it = pending_kills_.begin();
         continue;
       }
       if (next_due < 0 || it->at_ns < next_due) next_due = it->at_ns;
       ++it;
+    }
+    if (!due.empty()) {
+      // Kills due together die together: every rank is marked dead before
+      // any is poisoned, so no survivor can observe one of them dead (a
+      // poisoned receive, a failed put) while another still looks alive.
+      lock.unlock();
+      std::vector<Rank> fresh;
+      for (const Rank r : due)
+        if (mark_dead(r)) fresh.push_back(r);
+      for (const Rank r : fresh) poison_dead(r, "fault injection");
+      lock.lock();
+      continue;  // rescan: the list may have changed while unlocked
     }
     // Checked here, after the scan, because run() may have stopped the
     // reaper while a kill ran unlocked — its notify is already gone.

@@ -143,6 +143,10 @@ class Universe {
   void fail_rma_ops_of(Rank r);
 
   void execute_kill(Rank r, const char* why = "fault injection");
+  /// The two halves of execute_kill: flag `r` dead (false if it already
+  /// was), then fail everything that can still reach it.
+  bool mark_dead(Rank r);
+  void poison_dead(Rank r, const char* why);
   void reaper_main();
 
   UniverseOptions opts_;

@@ -61,6 +61,35 @@ TEST(Serialize, MalformedLengthPrefixThrows) {
   w.put<std::uint64_t>(1'000'000);  // claims a huge string
   ArchiveReader r(w.bytes());
   EXPECT_THROW(r.get_string(), CheckError);
+
+  // Prefixes chosen so that pos + n or n * sizeof(T) wraps to a small
+  // number: a check in either form would pass and the read run off the end.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::uint64_t n : {kMax, kMax - 7, kMax / 8 + 1}) {
+    ArchiveWriter m;
+    m.put<std::uint64_t>(n);
+    m.put<std::uint64_t>(0);  // a few real bytes after the prefix
+    ArchiveReader rs(m.bytes());
+    EXPECT_THROW(rs.get_string(), CheckError) << n;
+    ArchiveReader rb(m.bytes());
+    EXPECT_THROW(rb.get_blob(), CheckError) << n;
+    ArchiveReader rv(m.bytes());
+    EXPECT_THROW(rv.get_vector<std::uint64_t>(), CheckError) << n;
+    ArchiveReader rr(m.bytes());
+    rr.get<std::uint64_t>();
+    char sink[8];
+    EXPECT_THROW(rr.get_raw(sink, static_cast<std::size_t>(n)), CheckError)
+        << n;
+  }
+
+  // A zero-length vector round-trips (no copy from or into a null buffer).
+  ArchiveWriter z;
+  z.put_vector(std::vector<std::uint64_t>{});
+  z.put<int>(7);
+  ArchiveReader rz(z.bytes());
+  EXPECT_TRUE(rz.get_vector<std::uint64_t>().empty());
+  EXPECT_EQ(rz.get<int>(), 7);
+  EXPECT_TRUE(rz.exhausted());
 }
 
 TEST(Serialize, RawBytesWithRemaining) {

@@ -93,8 +93,9 @@ TEST(Halo3D, WorkerDeathRollbackInvalidatesArmedChannels) {
 }
 
 TEST(Halo3D, HeadFailoverWithChannelsArmedStaysBitwise) {
-  // The head dies mid-run: the promoted head starts with no armed plan and
-  // a disjoint channel-tag stripe, so orphaned payloads can never match.
+  // The head dies mid-run: the promoted head starts with no armed plan, and
+  // workers post its channel receives for its own rank, so the dead head's
+  // orphaned payloads can never match one.
   const HaloSpec spec = small_spec(15);
   core::ClusterOptions opts = fault_opts(true);
   opts.kills.push_back({0, at_ms(25)});

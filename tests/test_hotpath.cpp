@@ -169,7 +169,7 @@ struct Cluster {
   ClusterOptions opts;
 };
 
-TEST(DataPlaneCopies, SubmitIsExactlyOneCopy) {
+TEST(PayloadCopies, SubmitIsExactlyOneCopy) {
   OMPC_SKIP_IF_NOT_ZERO_COPY_CONDUIT();
   Cluster c(1);
   c.run([](DataManager& dm, EventSystem&) {
@@ -186,7 +186,7 @@ TEST(DataPlaneCopies, SubmitIsExactlyOneCopy) {
   });
 }
 
-TEST(DataPlaneCopies, ExitRetrieveIsExactlyOneCopy) {
+TEST(PayloadCopies, ExitRetrieveIsExactlyOneCopy) {
   OMPC_SKIP_IF_NOT_ZERO_COPY_CONDUIT();
   Cluster c(1);
   c.run([](DataManager& dm, EventSystem&) {
@@ -201,7 +201,7 @@ TEST(DataPlaneCopies, ExitRetrieveIsExactlyOneCopy) {
   });
 }
 
-TEST(DataPlaneCopies, DirectForwardIsExactlyOneCopy) {
+TEST(PayloadCopies, DirectForwardIsExactlyOneCopy) {
   OMPC_SKIP_IF_NOT_ZERO_COPY_CONDUIT();
   Cluster c(2);
   c.run([](DataManager& dm, EventSystem&) {
@@ -217,7 +217,7 @@ TEST(DataPlaneCopies, DirectForwardIsExactlyOneCopy) {
   });
 }
 
-TEST(DataPlaneCopies, ViaHeadForwardIsTwoCopies) {
+TEST(PayloadCopies, ViaHeadForwardIsTwoCopies) {
   OMPC_SKIP_IF_NOT_ZERO_COPY_CONDUIT();
   // The ablation strawman bounces through the head: one retrieve fill into
   // the host buffer + one submit fill into the consumer — still no staging

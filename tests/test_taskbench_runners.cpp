@@ -71,5 +71,18 @@ TEST(RunnerEquivalence, WiderGraphUnderSimulatedNetwork) {
   }
 }
 
+TEST(LaunchAtScale, SixtyFourWorkersMatchTheSerialOracle) {
+  // 64 workers + the head: the cluster boots, runs a small stencil to the
+  // oracle's checksum and shuts down. Nothing caps the rank count.
+  TaskBenchSpec spec = tiny_spec(Pattern::Stencil1D);
+  spec.width = 64;
+  spec.steps = 4;
+  core::ClusterOptions opts;
+  opts.num_workers = 64;
+  opts.network = instant();
+  const RunResult r = run_ompc(spec, opts);
+  EXPECT_EQ(r.checksum, expected_checksum(spec));
+}
+
 }  // namespace
 }  // namespace ompc::taskbench
