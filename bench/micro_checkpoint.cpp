@@ -14,8 +14,12 @@
 //    workload really is head-bound in the baseline);
 //  - Buddy mode moves < 1% of that through the head per boundary —
 //    metadata only — while taking the same logical snapshots;
+//  - Buddy capture is batched per rank: at most 4 snapshot-plane commands
+//    per worker per capture (save, alloc, put and drop lists), however
+//    many buffers are dirty;
 //  - recovery after killing a snapshot owner under Buddy mode reproduces
 //    bitwise-identical results (restored from the buddy replicas).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -72,6 +76,7 @@ int main() {
     std::int64_t logical_bytes = 0;
     std::int64_t checkpoints = 0;
     std::int64_t replicas = 0;
+    std::int64_t events = 0;
     std::int64_t cache_hits = 0;
     double capture_ms = 0.0;
   };
@@ -94,6 +99,7 @@ int main() {
       results[m].logical_bytes = r.stats.checkpoint_bytes;
       results[m].checkpoints = r.stats.checkpoints;
       results[m].replicas = r.stats.snapshot_replicas;
+      results[m].events = r.stats.checkpoint_events;
       results[m].cache_hits = r.stats.schedule_cache_hits;
       results[m].capture_ms = ns_to_ms(r.stats.checkpoint_ns);
     }
@@ -108,6 +114,11 @@ int main() {
             static_cast<double>(mr.checkpoints) / 1024,
         static_cast<long long>(mr.replicas), mr.capture_ms);
   }
+  const double buddy_events_per_capture =
+      static_cast<double>(results[2].events) /
+      static_cast<double>(std::max<std::int64_t>(results[2].checkpoints, 1));
+  std::printf("Buddy capture: %.2f snapshot-plane commands per capture\n",
+              buddy_events_per_capture);
   const double ratio =
       results[0].head_bytes == 0
           ? 1.0
@@ -154,6 +165,8 @@ int main() {
          << "  \"buddy_mode_head_bytes\": " << results[2].head_bytes << ",\n"
          << "  \"buddy_over_head_ratio\": " << ratio << ",\n"
          << "  \"buddy_snapshot_replicas\": " << results[2].replicas << ",\n"
+         << "  \"buddy_events_per_capture\": " << buddy_events_per_capture
+         << ",\n"
          << "  \"schedule_cache_hits\": " << results[2].cache_hits << ",\n"
          << "  \"recovery_bitwise_identical\": "
          << (recovery_ok ? "true" : "false") << "\n"
@@ -191,6 +204,14 @@ int main() {
                  static_cast<long long>(results[2].checkpoints),
                  static_cast<long long>(results[0].logical_bytes),
                  static_cast<long long>(results[0].checkpoints));
+    status = 1;
+  }
+  if (buddy_events_per_capture > 4.0 * base.num_workers) {
+    std::fprintf(stderr,
+                 "FAIL: Buddy capture started %.2f snapshot-plane commands "
+                 "per capture (want <= 4 per worker = %d) — capture is no "
+                 "longer batched per rank\n",
+                 buddy_events_per_capture, 4 * base.num_workers);
     status = 1;
   }
   if (results[2].replicas == 0) {

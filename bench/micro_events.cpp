@@ -61,11 +61,19 @@ void with_cluster(
 }
 
 offload::TargetPtr alloc_on(EventSystem& es, mpi::Rank w, std::size_t size) {
-  ArchiveWriter h;
-  h.put(AllocHeader{size});
-  const Bytes reply = es.run(w, EventKind::Alloc, h.take());
-  ArchiveReader r(reply);
-  return r.get<offload::TargetPtr>();
+  const Bytes reply =
+      es.run(w, EventKind::Alloc, encode_list<std::uint64_t>({size}));
+  return decode_list<offload::TargetPtr>(reply).at(0);
+}
+
+/// The header of a one-item RmaPut of `n` bytes from `src` into `dst` on
+/// `peer`.
+Bytes put_header(offload::TargetPtr src, std::size_t n, mpi::Rank peer,
+                 offload::TargetPtr dst) {
+  RmaPutHeader h;
+  h.peer = peer;
+  h.items = {{src, n, dst, 0}};
+  return h.serialize();
 }
 
 void delete_on(EventSystem& es, mpi::Rank w, offload::TargetPtr p) {
@@ -136,10 +144,8 @@ void BM_RmaPutRoundTripSlowLink(benchmark::State& state) {
     std::vector<std::pair<offload::TargetPtr, offload::TargetPtr>> blocks;
     for (int i = 0; i < in_flight; ++i) {
       blocks.emplace_back(alloc_on(es, 1, bytes), alloc_on(es, 2, bytes));
-      ArchiveWriter h;
-      h.put(RmaPutHeader{blocks.back().first, bytes, 2, blocks.back().second,
-                         0});
-      headers.push_back(h.take());
+      headers.push_back(
+          put_header(blocks.back().first, bytes, 2, blocks.back().second));
     }
     std::vector<OriginEventPtr> puts(headers.size());
     const std::int64_t parked_before = w[1]->stats().parked.load();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -24,6 +25,8 @@ std::int64_t meta_bytes(std::size_t header_size) {
 }
 
 }  // namespace
+
+CheckpointStore::~CheckpointStore() { settle_drops(); }
 
 mpi::Rank CheckpointStore::buddy_of(mpi::Rank owner,
                                     std::span<const mpi::Rank> live) {
@@ -69,28 +72,48 @@ std::vector<offload::TargetPtr> CheckpointStore::shadows_on(
   return ptrs;
 }
 
+OriginEventPtr CheckpointStore::command(mpi::Rank dest, EventKind kind,
+                                        Bytes header, mpi::Rank peer) {
+  stats_.head_bytes += meta_bytes(header.size());
+  OriginEventPtr ev = events_->start(dest, kind, std::move(header), {}, peer);
+  ++stats_.events;
+  return ev;
+}
+
 void CheckpointStore::drop_shadows(const std::vector<Shadow>& shadows) {
   if (events_ == nullptr) return;
-  // Pipelined like the capture phases: start every drop, then wait — the
-  // commit pays max(latency) across ranks, not sum over O(dirty) shadows.
-  std::vector<OriginEventPtr> acks;
-  acks.reserve(shadows.size());
+  // One list drop per rank, deduplicated: a clean entry shares its
+  // shadows across generations.
+  std::map<mpi::Rank, std::set<offload::TargetPtr>> by_rank;
   for (const Shadow& s : shadows) {
     if (s.rank < 0 || events_->is_rank_gone(s.rank)) continue;
-    ArchiveWriter w;
-    w.put(SnapshotDropHeader{s.ptr});
-    stats_.head_bytes += meta_bytes(w.size());
+    by_rank[s.rank].insert(s.ptr);
+  }
+  for (const auto& [rank, ptrs] : by_rank) {
     try {
-      acks.push_back(events_->start(s.rank, EventKind::SnapshotDrop, w.take()));
+      drops_in_flight_.push_back(
+          {command(rank, EventKind::SnapshotDrop,
+                   encode_list(std::vector<offload::TargetPtr>(ptrs.begin(),
+                                                               ptrs.end()))),
+           static_cast<std::int64_t>(ptrs.size())});
     } catch (const WorkerDiedError&) {
       // The rank died under the drop; its heap dies with it.
     }
   }
-  for (const OriginEventPtr& ev : acks) {
+}
+
+void CheckpointStore::settle_drops() {
+  std::vector<InFlightDrop> drops;
+  drops.swap(drops_in_flight_);
+  for (const InFlightDrop& d : drops) {
+    // A rank that died with the drop queued frees nothing: skip it rather
+    // than wait on an ack that only a failure detector could fail.
+    if (!d.ev->done() && events_->is_rank_gone(d.ev->dest())) continue;
     try {
-      ev->wait();
-      ++stats_.snapshot_drops;
+      d.ev->wait();
+      stats_.snapshot_drops += d.shadows;
     } catch (const WorkerDiedError&) {
+      // The rank died under the drop; its heap died with it.
     }
   }
 }
@@ -121,102 +144,94 @@ void CheckpointStore::capture_on_workers(
   // A dirty buffer whose freshest copy sits on a worker is snapshotted in
   // place: SnapshotSave makes a device-local shadow (rank-local, invisible
   // to every NIC), and in Buddy mode the shadow is replicated to the
-  // owner's ring successor — a single one-sided put into the buddy's
-  // block. The head only ships commands — O(metadata) per buffer. The three
-  // phases below pipeline every buffer's events so capture pays
-  // max(transfer), not sum.
-  struct Job {
-    std::size_t idx = 0;
-    mpi::Rank owner = -1;
+  // owner's ring successor — a one-sided put into the buddy's block. The
+  // head only ships commands, batched per rank: each phase below sends one
+  // list event per owner (or buddy), so capture costs O(workers) events
+  // and pays max(transfer), not sum.
+  struct Batch {
     mpi::Rank buddy = -1;
+    std::vector<std::size_t> idx;  ///< fresh indices, in list order
+    std::vector<SnapshotRegion> regions;
     OriginEventPtr save_ev;
     OriginEventPtr alloc_ev;
     OriginEventPtr put_ev;
-    offload::TargetPtr shadow = 0;
-    offload::TargetPtr replica = 0;
+    std::vector<offload::TargetPtr> shadows;   ///< empty until harvested
+    std::vector<offload::TargetPtr> replicas;  ///< empty until harvested
   };
-  std::vector<Job> jobs;
+  std::map<mpi::Rank, Batch> batches;  // by owner
+  for (const std::size_t i : pending) {
+    Entry& e = fresh[i];
+    e.generation = generation_ + 1;
+    const DataManager::Residency where = dm.residency(e.host);
+    if (where.on_head) {
+      // Freshest copy already lives on the head (host-task writes, fresh
+      // registrations): keep the bytes here — a local memcpy, no NIC.
+      auto bytes = std::make_shared<Bytes>(e.size);
+      std::memcpy(bytes->data(), e.host, e.size);
+      e.data = std::move(bytes);
+      continue;
+    }
+    OMPC_CHECK_MSG(where.owner >= 0,
+                   "checkpoint capture found buffer "
+                       << e.host << " with no valid location anywhere");
+    Batch& b = batches[where.owner];
+    b.idx.push_back(i);
+    b.regions.push_back({where.owner_addr, e.size});
+  }
+  // The addresses a list reply carries, one per item of `b`.
+  const auto addresses = [](const OriginEventPtr& ev, const Batch& b) {
+    std::vector<offload::TargetPtr> ptrs =
+        decode_list<offload::TargetPtr>(ev->wait());
+    OMPC_CHECK_MSG(ptrs.size() == b.idx.size(),
+                   "snapshot reply lists " << ptrs.size() << " blocks for "
+                                           << b.idx.size() << " items");
+    return ptrs;
+  };
   std::vector<Shadow> created;  // parked in orphaned_ on abort
-  const auto settle = [](const OriginEventPtr& ev) {
-    if (ev == nullptr) return;
-    try {
-      ev->wait();
-    } catch (...) {
-      // Settling only: the primary error is already being propagated.
-    }
-  };
   try {
-    // Phase A: command every save (and buddy allocation) up front.
-    for (const std::size_t i : pending) {
-      Entry& e = fresh[i];
-      e.generation = generation_ + 1;
-      const DataManager::Residency where = dm.residency(e.host);
-      if (where.on_head) {
-        // Freshest copy already lives on the head (host-task writes, fresh
-        // registrations): keep the bytes here — a local memcpy, no NIC.
-        auto bytes = std::make_shared<Bytes>(e.size);
-        std::memcpy(bytes->data(), e.host, e.size);
-        e.data = std::move(bytes);
-        continue;
-      }
-      OMPC_CHECK_MSG(where.owner >= 0,
-                     "checkpoint capture found buffer "
-                         << e.host << " with no valid location anywhere");
-      Job j;
-      j.idx = i;
-      j.owner = where.owner;
-      ArchiveWriter w;
-      w.put(SnapshotSaveHeader{where.owner_addr, e.size});
-      stats_.head_bytes += meta_bytes(w.size());
-      j.save_ev = events_->start(j.owner, EventKind::SnapshotSave, w.take());
-      if (locality_ == CheckpointLocality::Buddy) {
-        j.buddy = buddy_of(j.owner, live_workers);
-      }
-      // Track the job before any further start() can throw: the abort path
-      // below harvests the save's shadow address so it can be dropped.
-      jobs.push_back(std::move(j));
-      if (jobs.back().buddy >= 0) {
-        ArchiveWriter aw;
-        aw.put(AllocHeader{e.size});
-        stats_.head_bytes += meta_bytes(aw.size());
-        jobs.back().alloc_ev =
-            events_->start(jobs.back().buddy, EventKind::Alloc, aw.take());
-      }
+    // Phase 1: one SnapshotSave per owner, alongside one Alloc per buddy.
+    // The ring successor is a bijection on the live workers, so each buddy
+    // serves exactly one owner and its Alloc lists that owner's sizes.
+    for (auto& [owner, b] : batches) {
+      b.save_ev = command(owner, EventKind::SnapshotSave,
+                          encode_list(b.regions));
+      if (locality_ == CheckpointLocality::Buddy)
+        b.buddy = buddy_of(owner, live_workers);
+      if (b.buddy < 0) continue;
+      std::vector<std::uint64_t> sizes;
+      sizes.reserve(b.regions.size());
+      for (const SnapshotRegion& r : b.regions) sizes.push_back(r.size);
+      b.alloc_ev = command(b.buddy, EventKind::Alloc, encode_list(sizes));
     }
-    // Phase B: collect shadow addresses, command the buddy replications.
-    for (Job& j : jobs) {
-      {
-        const Bytes& reply = j.save_ev->wait();
-        ArchiveReader r(reply);
-        j.shadow = r.get<offload::TargetPtr>();
-      }
-      created.push_back({j.owner, j.shadow});
-      ++stats_.snapshot_saves;
-      if (j.alloc_ev != nullptr) {
-        const Bytes& reply = j.alloc_ev->wait();
-        ArchiveReader r(reply);
-        j.replica = r.get<offload::TargetPtr>();
-        created.push_back({j.buddy, j.replica});
-        // One-sided replication: the owner puts its shadow straight into
-        // the buddy's freshly allocated block (registered as a window under
-        // its own address); the buddy's event handlers never see the bytes
-        // land.
-        ArchiveWriter pw;
-        pw.put(RmaPutHeader{j.shadow, fresh[j.idx].size, j.buddy, j.replica,
-                            0});
-        stats_.head_bytes += meta_bytes(pw.size());
-        j.put_ev = events_->start(j.owner, EventKind::RmaPut, pw.take(), {},
-                                  j.buddy);
-      }
+    // Phase 2: collect shadow and replica addresses, then one RmaPut per
+    // owner carries all of its replica puts into its buddy's blocks
+    // (registered as windows under their own addresses); the buddy's
+    // event handlers never see the bytes land.
+    for (auto& [owner, b] : batches) {
+      b.shadows = addresses(b.save_ev, b);
+      for (const offload::TargetPtr p : b.shadows) created.push_back({owner, p});
+      stats_.snapshot_saves += static_cast<std::int64_t>(b.shadows.size());
+      if (b.alloc_ev == nullptr) continue;
+      b.replicas = addresses(b.alloc_ev, b);
+      for (const offload::TargetPtr p : b.replicas)
+        created.push_back({b.buddy, p});
+      RmaPutHeader put;
+      put.peer = b.buddy;
+      put.items.reserve(b.idx.size());
+      for (std::size_t k = 0; k < b.idx.size(); ++k)
+        put.items.push_back({b.shadows[k], b.regions[k].size, b.replicas[k], 0});
+      b.put_ev = command(owner, EventKind::RmaPut, put.serialize(), b.buddy);
     }
-    // Phase C: the replicas land; only now may entries reference them.
-    for (Job& j : jobs) {
-      if (j.put_ev != nullptr) j.put_ev->wait();
-      Entry& e = fresh[j.idx];
-      e.owner = {j.owner, j.shadow};
-      if (j.replica != 0) {
-        e.buddy = {j.buddy, j.replica};
-        ++stats_.snapshot_replicas;
+    // Phase 3: the replicas land; only now may entries reference them.
+    for (auto& [owner, b] : batches) {
+      if (b.put_ev != nullptr) b.put_ev->wait();
+      for (std::size_t k = 0; k < b.idx.size(); ++k) {
+        Entry& e = fresh[b.idx[k]];
+        e.owner = {owner, b.shadows[k]};
+        if (!b.replicas.empty()) {
+          e.buddy = {b.buddy, b.replicas[k]};
+          ++stats_.snapshot_replicas;
+        }
       }
     }
   } catch (...) {
@@ -224,23 +239,29 @@ void CheckpointStore::capture_on_workers(
     // land in a block we later free), harvesting the addresses of shadows
     // and replicas that did materialize, then park them all for the next
     // quiescent drop. The previous generation is untouched.
-    for (const Job& j : jobs) {
-      if (j.save_ev != nullptr && j.shadow == 0) {
+    for (auto& [owner, b] : batches) {
+      if (b.save_ev != nullptr && b.shadows.empty()) {
         try {
-          ArchiveReader r(j.save_ev->wait());
-          created.push_back({j.owner, r.get<offload::TargetPtr>()});
+          for (const offload::TargetPtr p : addresses(b.save_ev, b))
+            created.push_back({owner, p});
         } catch (...) {
           // The owner died before saving: nothing to drop there.
         }
       }
-      if (j.alloc_ev != nullptr && j.replica == 0) {
+      if (b.alloc_ev != nullptr && b.replicas.empty()) {
         try {
-          ArchiveReader r(j.alloc_ev->wait());
-          created.push_back({j.buddy, r.get<offload::TargetPtr>()});
+          for (const offload::TargetPtr p : addresses(b.alloc_ev, b))
+            created.push_back({b.buddy, p});
         } catch (...) {
         }
       }
-      settle(j.put_ev);
+      if (b.put_ev != nullptr) {
+        try {
+          b.put_ev->wait();
+        } catch (...) {
+          // Settling only: the primary error is already being propagated.
+        }
+      }
     }
     orphaned_.insert(orphaned_.end(), created.begin(), created.end());
     throw;
@@ -250,6 +271,7 @@ void CheckpointStore::capture_on_workers(
 void CheckpointStore::capture(DataManager& dm, std::int64_t wave,
                               std::span<const mpi::Rank> live_workers) {
   const Stopwatch timer;
+  settle_drops();
   // The dirty set is read, not consumed: it is cleared only after the new
   // snapshot commits, so a worker dying mid-capture leaves both the
   // PREVIOUS snapshot and the set of buffers that still need capturing
@@ -320,6 +342,8 @@ void CheckpointStore::capture(DataManager& dm, std::int64_t wave,
   wave_ = wave;
   have_ = true;
   ++generation_;
+  // Not awaited: the acks are settled at the next capture or restore, so
+  // the boundary returns without one more round trip per rank.
   drop_shadows(stale);
   dm.mark_all_clean();  // commit point: everything captured or reused
   ++stats_.captures;
@@ -330,6 +354,9 @@ void CheckpointStore::capture(DataManager& dm, std::int64_t wave,
 }
 
 void CheckpointStore::restore(DataManager& dm) {
+  // The last commit's drops first, so at most one batch is ever in flight
+  // and every ack is counted before recovery rewrites the store.
+  settle_drops();
   last_restore_degraded_ = false;
   // Pre-scan: can the current cut be restored in full? A buffer whose
   // owner AND buddy died since the capture (with no head-resident bytes)
@@ -466,8 +493,8 @@ void CheckpointStore::restore(DataManager& dm) {
   }
   // Every entry is head-resident now, so the retained prior generation can
   // never be needed again — free its shadows along with the converted
-  // entries' and any parked orphans. Dedupe first: a clean entry shares its
-  // shadows across generations, and a double drop would double-free.
+  // entries' and any parked orphans (drop_shadows dedupes: a clean entry
+  // shares its shadows across generations).
   for (const Entry& e : prev_entries_) {
     if (e.owner.rank >= 0) drops.push_back(e.owner);
     if (e.buddy.rank >= 0) drops.push_back(e.buddy);
@@ -477,13 +504,7 @@ void CheckpointStore::restore(DataManager& dm) {
   prev_wave_ = -1;
   drops.insert(drops.end(), orphaned_.begin(), orphaned_.end());
   orphaned_.clear();
-  std::set<std::pair<mpi::Rank, offload::TargetPtr>> seen;
-  std::vector<Shadow> unique;
-  unique.reserve(drops.size());
-  for (const Shadow& s : drops) {
-    if (seen.emplace(s.rank, s.ptr).second) unique.push_back(s);
-  }
-  drop_shadows(unique);
+  drop_shadows(drops);
   // Every checkpointed buffer now holds exactly its captured bytes, so
   // nothing is dirty relative to this snapshot; the replay re-marks what it
   // rewrites.
@@ -564,6 +585,9 @@ void CheckpointStore::adopt_state(std::span<const std::byte> data) {
   }
   r.get_raw(&stats_, sizeof stats_);
   last_restore_degraded_ = false;
+  // Drops still in flight went out on the dead head's event plane, which
+  // failed them; the adopted state no longer references their shadows.
+  drops_in_flight_.clear();
 }
 
 }  // namespace ompc::core

@@ -19,15 +19,23 @@
 //    metadata {owner, shadow address, generation} plus bytes for buffers
 //    whose freshest copy already lives on the head;
 //  - Buddy: WorkerLocal plus one replica on the owner's ring successor
-//    among the live workers, shipped worker->worker as one RmaPut — head
-//    traffic per boundary stays O(metadata) while
-//    recovery survives the snapshot owner's death.
+//    among the live workers, shipped worker->worker by one-sided put —
+//    head traffic per boundary stays O(metadata) while recovery survives
+//    the snapshot owner's death.
+//
+// Worker-local capture is batched per rank: one SnapshotSave list per
+// owner alongside one Alloc list per buddy, then one RmaPut list per owner
+// carrying all of its replica puts — O(workers) events per boundary, not
+// O(dirty buffers).
 //
 // Capture commits in two phases: new-generation shadows are created while
 // the previous generation stays intact, so a worker dying mid-capture
 // leaves the old snapshot (and the dirty set) untouched; only after every
 // save/replica settles are the entries swapped and the stale shadows
-// dropped. restore() resolves each buffer from the freshest surviving
+// dropped — one SnapshotDrop list per rank, not awaited: the store keeps
+// the drop events and settles them at the next capture or restore (or in
+// its destructor), so the boundary returns without the drops' round
+// trip. restore() resolves each buffer from the freshest surviving
 // holder (owner, else buddy, else the head entry — else RecoveryError),
 // streams it to the head where replay re-distributes it, and converts the
 // entry to head-resident bytes so a later failure cannot chase shadows on
@@ -59,8 +67,11 @@ struct CheckpointStats {
                                     ///< modes) — the micro_checkpoint gate
   std::int64_t snapshot_saves = 0;     ///< worker-local shadows created
   std::int64_t snapshot_replicas = 0;  ///< buddy replicas shipped
-  std::int64_t snapshot_drops = 0;     ///< stale shadows freed
+  std::int64_t snapshot_drops = 0;     ///< stale shadows freed (counted
+                                       ///< when the drop is acked)
   std::int64_t degraded_restores = 0;  ///< fell back to the prior generation
+  std::int64_t events = 0;  ///< snapshot-plane commands started: save,
+                            ///< alloc, put and drop lists
 };
 
 class CheckpointStore {
@@ -74,6 +85,12 @@ class CheckpointStore {
   CheckpointStore(EventSystem* events, CheckpointLocality locality)
       : events_(events),
         locality_(events == nullptr ? CheckpointLocality::Head : locality) {}
+
+  /// Settles the drops still in flight (see settle_drops).
+  ~CheckpointStore();
+
+  CheckpointStore(const CheckpointStore&) = delete;
+  CheckpointStore& operator=(const CheckpointStore&) = delete;
 
   /// Whether a snapshot exists to roll back to.
   bool has_checkpoint() const noexcept { return have_; }
@@ -121,6 +138,12 @@ class CheckpointStore {
   /// event system replaces the dead head's).
   void rebind(EventSystem* events) { events_ = events; }
 
+  /// Waits for the SnapshotDrop events the last commit or restore left in
+  /// flight and counts the freed shadows. capture() and restore() call it
+  /// first; a caller about to tear the cluster down calls it while the
+  /// workers can still ack. A drop whose rank died is abandoned.
+  void settle_drops();
+
   const CheckpointStats& stats() const noexcept { return stats_; }
 
   /// Snapshot shadows (both generations + parked orphans) living on `rank`
@@ -160,7 +183,12 @@ class CheckpointStore {
   static mpi::Rank buddy_of(mpi::Rank owner,
                             std::span<const mpi::Rank> live);
 
-  /// Best-effort SnapshotDrop of every shadow on a still-live rank; a rank
+  /// Starts a snapshot-plane command, charging its metadata to head_bytes.
+  OriginEventPtr command(mpi::Rank dest, EventKind kind, Bytes header,
+                         mpi::Rank peer = mpi::kAnySource);
+
+  /// Starts one deduplicated SnapshotDrop list per still-live rank holding
+  /// any of `shadows` and leaves it in flight (see settle_drops); a rank
   /// dying mid-drop is ignored (its memory dies with it).
   void drop_shadows(const std::vector<Shadow>& shadows);
 
@@ -169,10 +197,10 @@ class CheckpointStore {
   void capture_on_head(DataManager& dm, std::vector<Entry>& fresh,
                        const std::vector<std::size_t>& pending);
 
-  /// Worker-local capture: SnapshotSave on each owner (+ buddy replica by
-  /// RmaPut), pipelined across buffers. On failure the shadows
-  /// created so far are parked in orphaned_ and the error rethrown — the
-  /// previous generation stays intact.
+  /// Worker-local capture: one SnapshotSave list per owner (+ one Alloc
+  /// list per buddy, then one RmaPut list per owner for the replicas). On
+  /// failure the shadows created so far are parked in orphaned_ and the
+  /// error rethrown — the previous generation stays intact.
   void capture_on_workers(DataManager& dm, std::vector<Entry>& fresh,
                           const std::vector<std::size_t>& pending,
                           std::span<const mpi::Rank> live_workers);
@@ -195,6 +223,13 @@ class CheckpointStore {
   /// Shadows whose drop had to be deferred (aborted capture, interrupted
   /// restore): freed at the next quiescent opportunity.
   std::vector<Shadow> orphaned_;
+  /// SnapshotDrop lists started and not yet settled, with their shadow
+  /// counts.
+  struct InFlightDrop {
+    OriginEventPtr ev;
+    std::int64_t shadows = 0;
+  };
+  std::vector<InFlightDrop> drops_in_flight_;
   CheckpointStats stats_;
 };
 

@@ -72,11 +72,12 @@ offload::TargetPtr DataManager::alloc_on(mpi::Rank worker, BufferState& b) {
       return it->second;
     }
   }
-  ArchiveWriter w;
-  w.put(AllocHeader{b.size});
-  const Bytes reply = events_->run(worker, EventKind::Alloc, w.take());
-  ArchiveReader r(reply);
-  const auto ptr = r.get<offload::TargetPtr>();
+  const Bytes reply = events_->run(worker, EventKind::Alloc,
+                                   encode_list<std::uint64_t>({b.size}));
+  const auto blocks = decode_list<offload::TargetPtr>(reply);
+  OMPC_CHECK_MSG(blocks.size() == 1,
+                 "Alloc of one block replied with " << blocks.size());
+  const offload::TargetPtr ptr = blocks[0];
   stats_.allocs.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(b.lock);
   // ensure_on's Transferring marker makes per-worker allocation single-
@@ -165,9 +166,10 @@ offload::TargetPtr DataManager::ensure_on(mpi::Rank worker, BufferState& b) {
       std::lock_guard<std::mutex> lock(b.lock);
       return b.addr.at(src);
     }();
-    ArchiveWriter w;
-    w.put(RmaPutHeader{src_ptr, b.size, worker, dst, 0});
-    events_->start(src, EventKind::RmaPut, w.take(), {}, worker)->wait();
+    RmaPutHeader h;
+    h.peer = worker;
+    h.items = {{src_ptr, b.size, dst, 0}};
+    events_->start(src, EventKind::RmaPut, h.serialize(), {}, worker)->wait();
     stats_.exchanges.fetch_add(1, std::memory_order_relaxed);
   } else if (src >= 0) {
     // Forwarding::ViaHead ablation strawman: bounce through the head's

@@ -224,8 +224,8 @@ EventSystem::~EventSystem() {
   for (auto& h : handlers_) h.join();
 }
 
-mpi::Comm EventSystem::data_comm_for(mpi::Tag tag) const {
-  return data_comms_[static_cast<std::size_t>(tag) %
+mpi::Comm EventSystem::data_comm_for(mpi::Tag tag, std::size_t stripe) const {
+  return data_comms_[(static_cast<std::size_t>(tag) + stripe) %
                      data_comms_.size()];
 }
 
@@ -604,12 +604,9 @@ void EventSystem::settle(RemoteEvent* pending, std::uint64_t seen_exits) {
   // What the pending event waits on; none means TrimHeap's idle gate.
   mpi::Request waiting;
   if (pending != nullptr) {
-    if (pending->put_channel != nullptr)
-      waiting = mpi::Request(pending->put_channel->pr.state());
-    else if (pending->recv_channel != nullptr)
-      waiting = mpi::Request(pending->recv_channel->pr.state());
-    else
-      waiting = pending->io;
+    waiting = pending->recv_channel != nullptr
+                  ? mpi::Request(pending->recv_channel->pr.state())
+                  : pending->io;
   }
   std::optional<RemoteEvent> released;
   const std::uint64_t id = pending != nullptr ? pending->id : 0;
@@ -667,8 +664,9 @@ void EventSystem::send_completion(mpi::Rank to, mpi::Tag tag, Bytes result) {
 // --- persistent channels -------------------------------------------------
 
 std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
-    const RmaPutHeader& h, mpi::Tag tag) {
-  const PutKey key{h.peer, h.win, h.offset, h.src, h.size};
+    mpi::Rank peer, const RmaPutItem& item, const mpi::Comm& comm,
+    mpi::Tag tag) {
+  const PutKey key{peer, item.win, item.offset, item.src, item.size};
   std::shared_ptr<PutChannel> ch;
   {
     std::lock_guard<std::mutex> lock(channel_mutex_);
@@ -684,10 +682,10 @@ std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
     // pin keeps the source block alive across cycles AND keeps its address
     // unique — the allocator cannot reuse it while the channel exists.
     try {
-      auto keepalive = memory_->pin(h.src);
-      auto pr = data_comm_for(tag).put_init(
-          h.peer, h.win, h.offset, reinterpret_cast<const void*>(h.src),
-          h.size, std::move(keepalive), tag);
+      auto keepalive = memory_->pin(item.src);
+      auto pr = comm.put_init(peer, item.win, item.offset,
+                              reinterpret_cast<const void*>(item.src),
+                              item.size, std::move(keepalive), tag);
       ch = std::make_shared<PutChannel>();
       ch->pr = std::move(pr);
       ch->in_use = true;
@@ -710,6 +708,49 @@ std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
     return nullptr;
   }
   return ch;
+}
+
+EventSystem::PutCycle EventSystem::start_put(mpi::Rank peer,
+                                             const RmaPutItem& item,
+                                             mpi::Tag tag,
+                                             std::size_t stripe) {
+  const mpi::Comm comm = data_comm_for(tag, stripe);
+  PutCycle put;
+  // Steady-state fast path: a re-armed put into the pre-resolved window —
+  // no fresh request state, no re-registration.
+  if (opts_.persistent_channels)
+    put.channel = arm_put_channel(peer, item, comm, tag);
+  // Otherwise one-sided and transient: the payload shares our device
+  // memory (zero-copy source); the request completes when the peer acked
+  // the landing.
+  if (put.channel == nullptr)
+    put.io = comm.put(peer, item.win, item.offset,
+                      memory_->share(item.src, item.size), tag);
+  return put;
+}
+
+void EventSystem::finish_put(mpi::Rank peer, const RmaPutItem& item,
+                             PutCycle& put) {
+  try {
+    if (put.channel != nullptr)
+      put.channel->pr.test();
+    else
+      put.io.test();
+  } catch (const mpi::RankKilledError& e) {
+    if (e.rank() == rank_) throw;
+    if (put.channel != nullptr) {
+      std::lock_guard<std::mutex> lock(channel_mutex_);
+      const PutKey key{peer, item.win, item.offset, item.src, item.size};
+      const auto it = put_channels_.find(key);
+      if (it != put_channels_.end() && it->second == put.channel)
+        put_channels_.erase(it);
+    }
+  }
+  if (put.channel != nullptr) {
+    std::lock_guard<std::mutex> lock(channel_mutex_);
+    put.channel->in_use = false;
+    put.channel.reset();
+  }
 }
 
 std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
@@ -788,12 +829,13 @@ bool EventSystem::progress(RemoteEvent& ev) {
   ArchiveReader header(a.header);
   switch (a.kind) {
     case EventKind::Alloc: {
-      const auto h = header.get<AllocHeader>();
+      const auto sizes = decode_list<std::uint64_t>(a.header);
       OMPC_CHECK(memory_ != nullptr);
-      const offload::TargetPtr p = memory_->alloc(h.size);
-      ArchiveWriter w;
-      w.put(p);
-      send_completion(a.origin, a.tag, w.take());
+      std::vector<offload::TargetPtr> blocks;
+      blocks.reserve(sizes.size());
+      for (const std::uint64_t size : sizes)
+        blocks.push_back(memory_->alloc(size));
+      send_completion(a.origin, a.tag, encode_list(blocks));
       return true;
     }
     case EventKind::Delete: {
@@ -859,77 +901,70 @@ bool EventSystem::progress(RemoteEvent& ev) {
       return true;
     }
     case EventKind::SnapshotSave: {
-      const auto h = header.get<SnapshotSaveHeader>();
+      const auto regions = decode_list<SnapshotRegion>(a.header);
       OMPC_CHECK(memory_ != nullptr);
-      // Allocate the shadow (auto-registered as a window) and fill it with
+      // Allocate each shadow (auto-registered as a window) and fill it with
       // a rank-local self-put: the same one-sided path the cross-rank
       // transfers use, delivered inline since src == dst.
-      const offload::TargetPtr shadow = memory_->alloc(h.size);
-      data_comm_for(a.tag)
-          .put(rank_, shadow, 0, memory_->share(h.src, h.size),
-               kTagSnapshotPut)
-          .wait();
-      ArchiveWriter w;
-      w.put(shadow);
-      send_completion(a.origin, a.tag, w.take());
+      std::vector<offload::TargetPtr> shadows;
+      shadows.reserve(regions.size());
+      for (const SnapshotRegion& r : regions) {
+        const offload::TargetPtr shadow = memory_->alloc(r.size);
+        data_comm_for(a.tag)
+            .put(rank_, shadow, 0, memory_->share(r.src, r.size),
+                 kTagSnapshotPut)
+            .wait();
+        shadows.push_back(shadow);
+      }
+      send_completion(a.origin, a.tag, encode_list(shadows));
       return true;
     }
     case EventKind::SnapshotDrop: {
-      const auto h = header.get<SnapshotDropHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      // Tolerant: a head promoted from a one-boundary-stale replica may
-      // drop shadows this rank released under the old head (orphan sweeps
-      // after the generation the replica never saw). Ack the no-op.
-      if (!memory_->try_free(h.ptr))
-        OMPC_LOG_DEBUG("snapshot drop of unknown shadow "
-                       << h.ptr << " (stale post-failover state) ignored");
+      for (const offload::TargetPtr ptr :
+           decode_list<offload::TargetPtr>(a.header)) {
+        // A put channel that replicated this shadow pins it: evict it with
+        // the block, as Delete does, or the shadow is never released.
+        evict_channels_for(ptr);
+        // Tolerant: a head promoted from a one-boundary-stale replica may
+        // drop shadows this rank released under the old head (orphan
+        // sweeps after the generation the replica never saw). Ack the
+        // no-op.
+        if (!memory_->try_free(ptr))
+          OMPC_LOG_DEBUG("snapshot drop of unknown shadow "
+                         << ptr << " (stale post-failover state) ignored");
+      }
       send_completion(a.origin, a.tag, {});
       return true;
     }
     case EventKind::RmaPut: {
-      const auto h = header.get<RmaPutHeader>();
+      const RmaPutHeader h = RmaPutHeader::deserialize(a.header);
       OMPC_CHECK(memory_ != nullptr);
       if (ev.phase == 0) {
-        if (opts_.persistent_channels) {
-          // Steady-state fast path: a re-armed put into the pre-resolved
-          // window — no fresh request state, no re-registration.
-          ev.put_channel = arm_put_channel(h, a.tag);
-          if (ev.put_channel != nullptr) ev.phase = 2;
+        // One put per item, all in flight at once; the event parks on
+        // their composite, which completes when every item has landed (or
+        // failed), so no handler blocks on remote I/O.
+        std::vector<mpi::Request> all;
+        all.reserve(h.items.size());
+        ev.puts.reserve(h.items.size());
+        for (std::size_t i = 0; i < h.items.size(); ++i) {
+          ev.puts.push_back(start_put(h.peer, h.items[i], a.tag, i));
+          all.push_back(ev.puts.back().request());
         }
-        if (ev.phase == 0) {
-          // One-sided forward: put straight into the peer's registered
-          // block. The payload shares our device memory (zero-copy
-          // source); the request completes when the peer acked the
-          // landing.
-          ev.io = data_comm_for(a.tag).put(
-              h.peer, h.win, h.offset, memory_->share(h.src, h.size), a.tag);
-          ev.phase = 1;
-        }
+        ev.io = mpi::when_all(all);
+        ev.phase = 1;
       }
       try {
-        if (ev.phase == 2) {
-          if (!ev.put_channel->pr.test()) return false;
-        } else {
-          if (!ev.io.test()) return false;
-        }
+        if (!ev.io.test()) return false;
       } catch (const mpi::RankKilledError& e) {
         // The peer died mid-put (our own death rethrows to handler_main).
         // Ack anyway so this event drains; the head has already failed the
         // origin half, which drops this completion as late.
         if (e.rank() == rank_) throw;
-        if (ev.phase == 2) {
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          const PutKey key{h.peer, h.win, h.offset, h.src, h.size};
-          const auto it = put_channels_.find(key);
-          if (it != put_channels_.end() && it->second == ev.put_channel)
-            put_channels_.erase(it);
-        }
       }
-      if (ev.put_channel != nullptr) {
-        std::lock_guard<std::mutex> lock(channel_mutex_);
-        ev.put_channel->in_use = false;
-        ev.put_channel.reset();
-      }
+      for (std::size_t i = 0; i < h.items.size(); ++i)
+        finish_put(h.peer, h.items[i], ev.puts[i]);
+      ev.puts.clear();
       send_completion(a.origin, a.tag, {});
       return true;
     }

@@ -263,9 +263,20 @@ class EventSystem {
     mpi::PersistentRequest pr;
     bool in_use = false;  ///< a handler owns the current cycle
   };
-  /// (peer, win, offset, src, size) — the RmaPutHeader fields.
+  /// (peer, win, offset, src, size) — an RmaPut item and its peer.
   using PutKey = std::tuple<mpi::Rank, offload::TargetPtr, std::uint64_t,
                             offload::TargetPtr, std::uint64_t>;
+
+  /// One RmaPut item in flight: a persistent channel's cycle, or a
+  /// transient put when no channel could be armed.
+  struct PutCycle {
+    std::shared_ptr<PutChannel> channel;
+    mpi::Request io;  ///< the transient put (no channel)
+
+    mpi::Request request() const {
+      return channel != nullptr ? mpi::Request(channel->pr.state()) : io;
+    }
+  };
 
   /// Pre-posted receive of a Submit payload on a fixed channel tag.
   struct RecvChannel {
@@ -283,9 +294,11 @@ class EventSystem {
     std::uint64_t id = 0;  ///< rank-local, fixed at enqueue; keys the lot
     bool resumed = false;  ///< woken from the parking lot, not yet counted
     int phase = 0;
-    mpi::Request io;  ///< pending irecv (Submit, HeadState) or put (RmaPut)
+    /// Pending irecv (Submit, HeadState), or the composite of an RmaPut's
+    /// item puts (mpi::when_all).
+    mpi::Request io;
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
-    std::shared_ptr<PutChannel> put_channel;    ///< phase 2: persistent put
+    std::vector<PutCycle> puts;   ///< RmaPut: one per item, in order
     std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
   };
 
@@ -316,11 +329,24 @@ class EventSystem {
     bool wake_idle_locked();
   };
 
-  /// Finds-or-creates and start()s the put channel for `h`; null means
+  /// Finds-or-creates and start()s the put channel for `item`; null means
   /// fall back to a transient put this time (channel busy, window gone,
-  /// peer dead). `tag` seeds a fresh channel's comm/accounting tag.
-  std::shared_ptr<PutChannel> arm_put_channel(const RmaPutHeader& h,
+  /// peer dead). A fresh channel puts on `comm` with accounting tag `tag`.
+  std::shared_ptr<PutChannel> arm_put_channel(mpi::Rank peer,
+                                              const RmaPutItem& item,
+                                              const mpi::Comm& comm,
                                               mpi::Tag tag);
+
+  /// Starts item `stripe` of RmaPut event `tag`: on a re-armed channel when
+  /// one can be armed, else as a transient put. Items stripe over the data
+  /// comms, so a list keeps the VCI parallelism of one event per item.
+  PutCycle start_put(mpi::Rank peer, const RmaPutItem& item, mpi::Tag tag,
+                     std::size_t stripe);
+
+  /// Settles a completed item: frees its channel for the next cycle, or
+  /// retires the channel when the peer died under it (the head has already
+  /// failed the origin half). Rethrows this rank's own death.
+  void finish_put(mpi::Rank peer, const RmaPutItem& item, PutCycle& put);
 
   /// Finds-or-creates and start()s the recv channel for `origin`'s
   /// `data_tag` (shape mismatches rebuild the entry — the destination
@@ -331,7 +357,9 @@ class EventSystem {
                                                 mpi::Rank origin);
 
   /// Drops every channel that reads or writes the local block at `p`
-  /// (about to be freed by a Delete event).
+  /// (about to be freed by a Delete or SnapshotDrop event). A cached put
+  /// channel pins its source block, so a block freed without this stays
+  /// allocated for the life of the cache.
   void evict_channels_for(offload::TargetPtr p);
 
   /// Drops the whole channel cache (RankDead: any cached shape may involve
@@ -362,7 +390,9 @@ class EventSystem {
   bool progress(RemoteEvent& ev);
   void send_completion(mpi::Rank to, mpi::Tag tag, Bytes result);
 
-  mpi::Comm data_comm_for(mpi::Tag tag) const;
+  /// The data comm of event `tag`; `stripe` offsets the choice, so the
+  /// items of one list event spread over the comms.
+  mpi::Comm data_comm_for(mpi::Tag tag, std::size_t stripe = 0) const;
 
   void enqueue_remote(RemoteEvent&& ev);
   void stop_local();

@@ -7,10 +7,18 @@
 // Every event owns a unique origin-allocated tag; all its data messages use
 // that tag, so matching can never cross-talk between events (the paper's
 // "exclusive channel" invariant).
+//
+// Alloc, SnapshotSave, SnapshotDrop and RmaPut carry *lists*: one event
+// does the work of any number of items, so a checkpoint capture costs one
+// event per rank per phase rather than one per buffer. A Data Manager
+// alloc or forward is a list of one.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
+#include "common/check.hpp"
 #include "common/serialize.hpp"
 #include "minimpi/mpi.hpp"
 #include "offload/kernel_registry.hpp"
@@ -22,7 +30,7 @@ namespace ompc::core {
 /// (paper §4.2: "a one-to-one match to all the required functions that a
 /// device plugin must implement").
 enum class EventKind : std::uint8_t {
-  Alloc = 1,     ///< allocate device memory; replies with the address
+  Alloc = 1,     ///< allocate device memory; replies with the addresses
   Delete,        ///< free device memory
   Submit,        ///< receive buffer data from the origin (host -> worker)
   Retrieve,      ///< send buffer data to the origin (worker -> host)
@@ -32,14 +40,14 @@ enum class EventKind : std::uint8_t {
 
   // Worker-local checkpoint data plane (§5, CheckpointLocality): the head
   // commands snapshots by metadata; the bytes never touch its NIC.
-  SnapshotSave,   ///< copy a device region into a local shadow; replies
-                  ///< with the shadow's address
-  SnapshotDrop,   ///< free a shadow (stale generation / post-restore)
+  SnapshotSave,   ///< copy device regions into local shadows; replies
+                  ///< with the shadows' addresses
+  SnapshotDrop,   ///< free shadows (stale generation / post-restore)
   SnapshotFetch,  ///< send shadow bytes to the origin (restore path) —
                   ///< wire-identical to Retrieve, distinct for accounting
 
-  /// One-sided forward (§4.3 worker->worker): the destination rank puts a
-  /// local region straight into a pre-registered window of `peer`
+  /// One-sided forward (§4.3 worker->worker): the destination rank puts
+  /// local regions straight into pre-registered windows of `peer`
   /// (Comm::put) — one event, no receive posted at the peer, the bytes
   /// land via the window registry.
   RmaPut,
@@ -100,9 +108,28 @@ static_assert(kFirstEventTag >= mpi::kFirstDataTag,
 
 // --- event headers (serialized into the new-event notification) ---------
 
-struct AllocHeader {
-  std::uint64_t size = 0;
-};
+/// Serializes a list header (Alloc, SnapshotSave, SnapshotDrop) or a list
+/// reply (Alloc and SnapshotSave addresses): the item count, then the items.
+template <typename Item>
+Bytes encode_list(const std::vector<Item>& items) {
+  ArchiveWriter w;
+  w.put_vector(items);
+  return w.take();
+}
+
+/// Reads a list header back. A count larger than the bytes that follow, or
+/// bytes left over after the items, raise CheckError.
+template <typename Item>
+std::vector<Item> decode_list(std::span<const std::byte> data) {
+  ArchiveReader r(data);
+  std::vector<Item> items = r.get_vector<Item>();
+  OMPC_CHECK_MSG(r.exhausted(), "list header has " << r.remaining()
+                                                   << " trailing bytes");
+  return items;
+}
+
+// Alloc is a list of block sizes (std::uint64_t); its reply lists the new
+// blocks' addresses (offload::TargetPtr), in order.
 
 struct DeleteHeader {
   offload::TargetPtr ptr = 0;
@@ -122,18 +149,14 @@ struct RetrieveHeader {
   std::uint64_t size = 0;
 };
 
-/// SnapshotSave: the destination copies `size` bytes starting at the device
-/// address `src` into a freshly allocated local shadow block and replies
-/// with the shadow's address. Purely rank-local — the one event whose data
-/// volume is invisible to the network.
-struct SnapshotSaveHeader {
+/// One SnapshotSave item: the destination copies `size` bytes starting at
+/// the device address `src` into a freshly allocated local shadow block.
+/// The reply lists the shadows' addresses, in item order. Purely
+/// rank-local — the one event whose data volume is invisible to the
+/// network. SnapshotDrop is a list of shadow addresses (TargetPtr) to free.
+struct SnapshotRegion {
   offload::TargetPtr src = 0;
   std::uint64_t size = 0;
-};
-
-/// SnapshotDrop: free the shadow at `ptr` (a previous SnapshotSave result).
-struct SnapshotDropHeader {
-  offload::TargetPtr ptr = 0;
 };
 
 /// Broadcast by the head after the failure detector declares a rank dead so
@@ -142,17 +165,39 @@ struct RankDeadHeader {
   mpi::Rank rank = -1;
 };
 
-/// RmaPut: the destination rank writes [src, src+size) of its device heap
-/// into window `win` of `peer` at `offset` with a single one-sided put and
-/// completes when the bytes have landed. `win` is the peer's destination
-/// block address (the worker heap registers every block under its own
-/// address — see WorkerMemory).
-struct RmaPutHeader {
+/// One RmaPut item: the destination rank writes [src, src+size) of its
+/// device heap into window `win` of the header's peer at `offset`. `win`
+/// is the peer's destination block address (the worker heap registers
+/// every block under its own address — see WorkerMemory).
+struct RmaPutItem {
   offload::TargetPtr src = 0;
   std::uint64_t size = 0;
-  mpi::Rank peer = 0;           ///< target rank of the put
   offload::TargetPtr win = 0;   ///< peer's window id (= block address)
   std::uint64_t offset = 0;     ///< byte offset inside the window
+};
+
+/// RmaPut: every item is put into `peer` with one one-sided put each; the
+/// event completes when all of them have landed. One peer per event, so
+/// the origin's failure tracking (OriginEvent::peer) covers every item.
+struct RmaPutHeader {
+  mpi::Rank peer = 0;  ///< target rank of every put
+  std::vector<RmaPutItem> items;
+
+  Bytes serialize() const {
+    ArchiveWriter w;
+    w.put(peer);
+    w.put_vector(items);
+    return w.take();
+  }
+  static RmaPutHeader deserialize(std::span<const std::byte> data) {
+    ArchiveReader r(data);
+    RmaPutHeader h;
+    h.peer = r.get<mpi::Rank>();
+    h.items = r.get_vector<RmaPutItem>();
+    OMPC_CHECK_MSG(r.exhausted(), "RmaPut header has " << r.remaining()
+                                                       << " trailing bytes");
+    return h;
+  }
 };
 
 /// HeadState: `size` bytes of serialized head state follow as the event

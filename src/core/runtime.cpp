@@ -221,7 +221,9 @@ void Runtime::dispatch(const ClusterGraph& graph, const ScheduleResult& sched) {
           }
         }
       }
-      ws.cv.notify_all();
+      // The waiter's predicate can only turn true once nothing is in
+      // flight. Notified under the lock: ws lives on the waiter's stack.
+      if (ws.inflight == 0) ws.cv.notify_all();
     });
   };
 
@@ -582,6 +584,7 @@ void Runtime::execute_wave(ClusterGraph&& wave) {
       stats_.checkpoint_dirty_bytes = cs.dirty_bytes;
       stats_.checkpoint_head_bytes = cs.head_bytes;
       stats_.snapshot_replicas = cs.snapshot_replicas;
+      stats_.checkpoint_events = cs.events;
       stats_.checkpoint_ns = cs.capture_ns;
     }
     // Log the wave for replay (moved, not copied — it is executed from the
@@ -1597,6 +1600,9 @@ RuntimeStats launch(const ClusterOptions& opts,
       }
 
       const Stopwatch shutdown;
+      // The last boundary's snapshot drops are acked while the workers and
+      // the failure detectors still run; after the shutdown nobody could.
+      rt.checkpoints().settle_drops();
       if (!error) {
         // A worker can die in this very window (after the last wave,
         // before/while cleanup deletes its buffers) — which is why the
@@ -1656,6 +1662,7 @@ RuntimeStats launch(const ClusterOptions& opts,
       stats.checkpoint_dirty_bytes = cks.dirty_bytes;
       stats.checkpoint_head_bytes = cks.head_bytes;
       stats.snapshot_replicas = cks.snapshot_replicas;
+      stats.checkpoint_events = cks.events;
       stats.checkpoint_ns = cks.capture_ns;
       stats.schedule_cache_hits = rs.schedule_cache_hits;
       stats.channels_armed = rs.channels_armed;

@@ -71,6 +71,9 @@ struct RuntimeStats {
                                            ///< O(metadata) under Buddy mode
   std::int64_t snapshot_replicas = 0;  ///< buddy replicas shipped
                                        ///< worker->worker at boundaries
+  std::int64_t checkpoint_events = 0;  ///< snapshot-plane commands (save,
+                                       ///< alloc, put, drop lists) — one
+                                       ///< per rank per phase
   std::int64_t checkpoint_ns = 0;     ///< cumulative capture wall time
   std::int64_t recoveries = 0;        ///< rollback + re-execution rounds
   std::int64_t workers_lost = 0;      ///< ranks declared dead and dropped

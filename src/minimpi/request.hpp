@@ -267,4 +267,49 @@ inline void wait_all(std::vector<Request>& reqs) {
   wait_all(std::span<Request>(reqs));
 }
 
+/// One request that completes once every request in `reqs` has (a
+/// nonblocking MPI_Waitall). It fails — wait()/test() throw RankKilledError
+/// — when any member was killed, but only after all members completed, so
+/// no member is still in flight when the composite reports. Takes each
+/// member's completion hook; an empty `reqs` yields a completed request.
+inline Request when_all(std::span<const Request> reqs) {
+  auto all = std::make_shared<detail::RequestState>();
+  if (reqs.empty()) {
+    all->complete(Status{});
+    return Request(all);
+  }
+  struct Join {
+    std::mutex mutex;
+    std::size_t left = 0;
+    Rank killed = -1;
+  };
+  auto join = std::make_shared<Join>();
+  join->left = reqs.size();
+  for (const Request& r : reqs) {
+    // Weak: a member's hook must not keep the member itself alive.
+    r.on_complete([all, join,
+                   member = std::weak_ptr<detail::RequestState>(r.state())] {
+      Rank dead = -1;
+      if (const auto m = member.lock()) {
+        std::lock_guard<std::mutex> lock(m->mutex);
+        dead = m->killed_rank;
+      }
+      bool last = false;
+      Rank killed = -1;
+      {
+        std::lock_guard<std::mutex> lock(join->mutex);
+        if (join->killed < 0) join->killed = dead;
+        last = --join->left == 0;
+        killed = join->killed;
+      }
+      if (!last) return;
+      if (killed >= 0)
+        all->kill(killed);
+      else
+        all->complete(Status{});
+    });
+  }
+  return Request(all);
+}
+
 }  // namespace ompc::mpi

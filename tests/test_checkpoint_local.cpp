@@ -7,6 +7,7 @@
 // commit). Also covers composition with Forwarding::ViaHead.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -158,10 +159,18 @@ TEST(WorkerLocalCheckpoint, OwnerAndBuddyDyingInOnePeriodIsRecoveryError) {
 /// a head rank driving DataManager/CheckpointStore by hand plus `workers`
 /// event-system-only worker ranks.
 struct MiniCluster {
-  explicit MiniCluster(int workers) {
+  explicit MiniCluster(int workers)
+      : memory(static_cast<std::size_t>(workers) + 1) {
     opts.num_workers = workers;
     opts.network = {};
     opts.checkpoint_locality = CheckpointLocality::Buddy;
+  }
+
+  /// Blocks on live worker `rank`'s device heap.
+  std::size_t live_blocks(mpi::Rank rank) const {
+    const auto& slot = memory[static_cast<std::size_t>(rank)];
+    while (slot.load() == nullptr) precise_sleep_ns(100'000);
+    return slot.load()->live();
   }
 
   void run(const std::function<void(DataManager&, EventSystem&,
@@ -182,15 +191,18 @@ struct MiniCluster {
         }
         events.shutdown_cluster();
       } else {
-        WorkerMemory memory(&ctx.universe(), ctx.rank());
+        WorkerMemory heap(&ctx.universe(), ctx.rank());
         omp::TaskRuntime pool(1);
-        EventSystem events(ctx, opts, &memory, &pool);
+        EventSystem events(ctx, opts, &heap, &pool);
+        memory[static_cast<std::size_t>(ctx.rank())].store(&heap);
         events.wait_until_stopped();
       }
     });
   }
 
   ClusterOptions opts;
+  /// Each worker's heap while its rank runs (index = rank).
+  std::vector<std::atomic<const WorkerMemory*>> memory;
 };
 
 /// buffers[0]: u64 cell. scalars: (value). Overwrites the cell.
@@ -249,6 +261,137 @@ TEST(WorkerLocalCheckpoint, DeathMidCaptureLeavesPreviousGenerationIntact) {
     dm.reset_all_to_host();
     ckpt.restore(dm);
     EXPECT_EQ(cell, 1u);  // generation 1, not the aborted generation 2
+  });
+}
+
+/// Two buffers on each of owners 1 and 2: the batched capture sends one
+/// list event per rank and phase for them.
+struct FourCells {
+  std::uint64_t cell[4] = {};
+
+  void register_all(DataManager& dm) {
+    for (std::uint64_t& c : cell) dm.register_buffer(&c, sizeof c);
+  }
+  /// Cells 0-1 get `base` + i on worker 1, cells 2-3 on worker 2.
+  void write(DataManager& dm, EventSystem& events, std::uint64_t base) {
+    for (int i = 0; i < 4; ++i)
+      write_on_worker(dm, events, i < 2 ? 1 : 2, &cell[i], base + i);
+  }
+  void expect(std::uint64_t base) const {
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(cell[i], base + i) << "cell " << i;
+  }
+};
+
+TEST(WorkerLocalCheckpoint, BatchedCaptureAbortRestoresThePreviousGeneration) {
+  // Owner 1's buddy is rank 2, owner 2's is rank 3. Rank 3 dies before
+  // the second boundary, so that capture aborts after owner 1's save and
+  // alloc and owner 2's save went out. The committed generation still
+  // restores bitwise, and the restore frees every block: the first
+  // generation's shadows and everything the aborted capture created.
+  MiniCluster c(3);
+  c.run([&c](DataManager& dm, EventSystem& events, mpi::Universe& u) {
+    FourCells cells;
+    cells.register_all(dm);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
+    const mpi::Rank live[] = {1, 2, 3};
+
+    cells.write(dm, events, 10);
+    ckpt.capture(dm, 0, live);
+    EXPECT_EQ(ckpt.worker_resident_entries(), 4u);
+    EXPECT_EQ(ckpt.stats().snapshot_replicas, 4);
+    // Three commands per owner: SnapshotSave, Alloc, RmaPut.
+    EXPECT_EQ(ckpt.stats().events, 6);
+    const std::size_t before_abort[] = {c.live_blocks(1), c.live_blocks(2)};
+
+    cells.write(dm, events, 20);
+    kill_and_wait(u, 3);
+    EXPECT_THROW(ckpt.capture(dm, 1, live), core::WorkerDiedError);
+    EXPECT_EQ(ckpt.generation(), 1u);
+    EXPECT_EQ(ckpt.wave(), 0);
+    // Owner 1's two shadows; owner 1's two replicas and owner 2's two
+    // shadows on rank 2: parked, not lost.
+    EXPECT_EQ(c.live_blocks(1), before_abort[0] + 2);
+    EXPECT_EQ(c.live_blocks(2), before_abort[1] + 4);
+
+    dm.purge_rank(3);
+    dm.reset_all_to_host();
+    ckpt.restore(dm);
+    cells.expect(10);
+    ckpt.settle_drops();
+    EXPECT_EQ(c.live_blocks(1), 0u);
+    EXPECT_EQ(c.live_blocks(2), 0u);
+  });
+}
+
+TEST(WorkerLocalCheckpoint, NextCommitFreesTheAbortedCapturesShadows) {
+  // Same abort as above, but the next boundary commits before any restore:
+  // its drops must free every shadow the aborted capture parked, leaving
+  // each survivor with exactly its Data Manager blocks plus the shadows
+  // the store still references.
+  MiniCluster c(3);
+  c.run([&c](DataManager& dm, EventSystem& events, mpi::Universe& u) {
+    FourCells cells;
+    cells.register_all(dm);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
+    const mpi::Rank live[] = {1, 2, 3};
+    const auto untracked = [&](mpi::Rank r) {
+      return c.live_blocks(r) - ckpt.shadows_on(r).size();
+    };
+
+    cells.write(dm, events, 10);
+    ckpt.capture(dm, 0, live);
+    const std::size_t baseline[] = {untracked(1), untracked(2)};
+
+    cells.write(dm, events, 20);
+    kill_and_wait(u, 3);
+    EXPECT_THROW(ckpt.capture(dm, 1, live), core::WorkerDiedError);
+
+    const mpi::Rank survivors[] = {1, 2};
+    dm.purge_rank(3);
+    ckpt.capture(dm, 1, survivors);
+    EXPECT_EQ(ckpt.generation(), 2u);
+    ckpt.settle_drops();
+    EXPECT_EQ(ckpt.stats().snapshot_drops, 6);  // the parked orphans
+    EXPECT_EQ(untracked(1), baseline[0]);
+    EXPECT_EQ(untracked(2), baseline[1]);
+
+    // The new generation is whole: owner 2's replicas moved to rank 1.
+    kill_and_wait(u, 2);
+    dm.purge_rank(2);
+    dm.reset_all_to_host();
+    ckpt.restore(dm);
+    cells.expect(20);
+  });
+}
+
+TEST(WorkerLocalCheckpoint, RestoreSettlesTheLastCommitsDrops) {
+  // The third commit drops the first generation's shadows without waiting
+  // for the acks; a restore right after it must settle them before doing
+  // anything else.
+  MiniCluster c(2);
+  c.run([&c](DataManager& dm, EventSystem& events, mpi::Universe&) {
+    FourCells cells;
+    cells.register_all(dm);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
+    const mpi::Rank live[] = {1, 2};
+    for (int gen = 0; gen < 3; ++gen) {
+      cells.write(dm, events, 10 * (gen + 1));
+      ckpt.capture(dm, gen, live);
+    }
+    // Generation 1: 4 shadows + 4 replicas, dropped by the third commit
+    // and not yet counted — nothing has settled them.
+    EXPECT_EQ(ckpt.stats().snapshot_drops, 0);
+
+    dm.reset_all_to_host();
+    ckpt.restore(dm);
+    EXPECT_EQ(ckpt.stats().snapshot_drops, 8);
+    cells.expect(30);
+
+    // The restore's own drops (generations 2 and 3) are in flight now.
+    ckpt.settle_drops();
+    EXPECT_EQ(ckpt.stats().snapshot_drops, 8 + 16);
+    EXPECT_EQ(c.live_blocks(1), 0u);
+    EXPECT_EQ(c.live_blocks(2), 0u);
   });
 }
 

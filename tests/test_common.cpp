@@ -92,6 +92,22 @@ TEST(Serialize, MalformedLengthPrefixThrows) {
   EXPECT_TRUE(rz.exhausted());
 }
 
+TEST(Serialize, VectorCountIsCheckedInElements) {
+  // 24 bytes follow the prefix: enough for 24 chars but only one
+  // 24-byte element, so a count of 2 must fail however the bytes add up.
+  struct Elem {
+    std::uint64_t a, b, c;
+  };
+  ArchiveWriter w;
+  w.put<std::uint64_t>(2);
+  w.put(Elem{1, 2, 3});
+  ArchiveReader r(w.bytes());
+  EXPECT_THROW(r.get_vector<Elem>(), CheckError);
+  ArchiveReader ok(w.bytes());
+  ok.get<std::uint64_t>();
+  EXPECT_EQ(ok.remaining(), sizeof(Elem));
+}
+
 TEST(Serialize, RawBytesWithRemaining) {
   ArchiveWriter w;
   w.put<int>(1);

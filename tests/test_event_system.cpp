@@ -89,11 +89,19 @@ bool eventually(const std::function<bool()>& done, double limit_s = 10.0) {
 }
 
 offload::TargetPtr alloc_on(EventSystem& es, mpi::Rank w, std::size_t size) {
-  ArchiveWriter h;
-  h.put(AllocHeader{size});
-  const Bytes reply = es.run(w, EventKind::Alloc, h.take());
-  ArchiveReader r(reply);
-  return r.get<offload::TargetPtr>();
+  const Bytes reply =
+      es.run(w, EventKind::Alloc, encode_list<std::uint64_t>({size}));
+  return decode_list<offload::TargetPtr>(reply).at(0);
+}
+
+/// The header of a one-item RmaPut of `n` bytes from `src` into `dst` on
+/// `peer`.
+Bytes put_header(offload::TargetPtr src, std::size_t n, mpi::Rank peer,
+                 offload::TargetPtr dst) {
+  RmaPutHeader h;
+  h.peer = peer;
+  h.items = {{src, n, dst, 0}};
+  return h.serialize();
 }
 
 void delete_on(EventSystem& es, mpi::Rank w, offload::TargetPtr p) {
@@ -145,15 +153,95 @@ TEST(EventSystem, RmaPutForwardsWorkerToWorker) {
     es.run(1, EventKind::Submit, sh.take(), Bytes(payload));
 
     // Head commands the forward; data flows 1 -> 2 directly, one-sided.
-    ArchiveWriter h;
-    h.put(RmaPutHeader{src, n, 2, dst, 0});
-    es.start(1, EventKind::RmaPut, h.take(), {}, 2)->wait();
+    es.start(1, EventKind::RmaPut, put_header(src, n, 2, dst), {}, 2)->wait();
 
     Bytes back(n);
     es.start_retrieve(2, dst, back.data(), n)->wait();
     EXPECT_EQ(back, payload);
     delete_on(es, 1, src);
     delete_on(es, 2, dst);
+  });
+}
+
+TEST(EventSystem, RmaPutListLandsEveryItem) {
+  // One RmaPut carries several puts, striped over the data comms; the
+  // event completes only once every item has landed, on either put path.
+  for (const bool channels : {true, false}) {
+    SCOPED_TRACE(channels ? "persistent puts" : "transient puts");
+    ClusterOptions opts;
+    opts.persistent_channels = channels;
+    with_cluster(
+        2,
+        [](EventSystem& es) {
+          constexpr std::size_t kItems = 5;
+          constexpr std::size_t n = 1024;
+          RmaPutHeader put;
+          put.peer = 2;
+          std::vector<Bytes> payloads;
+          for (std::size_t i = 0; i < kItems; ++i) {
+            const auto src = alloc_on(es, 1, n);
+            payloads.emplace_back(n, static_cast<std::byte>(0x40 + i));
+            ArchiveWriter sh;
+            sh.put(SubmitHeader{src, n});
+            es.run(1, EventKind::Submit, sh.take(), Bytes(payloads.back()));
+            put.items.push_back({src, n, alloc_on(es, 2, n), 0});
+          }
+          for (int round = 0; round < 2; ++round)  // the second re-arms
+            es.start(1, EventKind::RmaPut, put.serialize(), {}, 2)->wait();
+          for (std::size_t i = 0; i < kItems; ++i) {
+            Bytes back(n);
+            es.start_retrieve(2, put.items[i].win, back.data(), n)->wait();
+            EXPECT_EQ(back, payloads[i]) << "item " << i;
+            delete_on(es, 1, put.items[i].src);
+            delete_on(es, 2, put.items[i].win);
+          }
+        },
+        opts);
+  }
+}
+
+TEST(EventSystem, SnapshotDropReleasesAReplicatedShadow) {
+  // Replicating a shadow arms a persistent put channel, which pins its
+  // source block. SnapshotDrop must evict the shadow's channels as Delete
+  // does, or the shadow stays allocated for the life of the cache.
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  ASSERT_TRUE(opts.persistent_channels);
+  mpi::UniverseOptions uopts;
+  uopts.ranks = opts.ranks();
+  uopts.comms = 1 + opts.vci;
+  std::atomic<WorkerMemory*> owner_memory{nullptr};
+  mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      EventSystem es(ctx, opts, nullptr, nullptr);
+      constexpr std::size_t n = 256;
+      const auto src = alloc_on(es, 1, n);
+      const Bytes saved =
+          es.run(1, EventKind::SnapshotSave,
+                 encode_list(std::vector<SnapshotRegion>{{src, n}}));
+      const auto shadow = decode_list<offload::TargetPtr>(saved).at(0);
+      const auto replica = alloc_on(es, 2, n);
+      es.start(1, EventKind::RmaPut, put_header(shadow, n, 2, replica), {}, 2)
+          ->wait();
+      ASSERT_TRUE(eventually([&] { return owner_memory.load() != nullptr; }));
+      const std::weak_ptr<const void> pinned = owner_memory.load()->pin(shadow);
+      es.run(1, EventKind::SnapshotDrop,
+             encode_list(std::vector<offload::TargetPtr>{shadow}));
+      // The put's payload may still be unwinding on the delivery thread;
+      // only a pin nobody releases keeps the block past it.
+      EXPECT_TRUE(eventually([&] { return pinned.expired(); }, 2.0))
+          << "the dropped shadow is still pinned by its put channel";
+      delete_on(es, 1, src);
+      delete_on(es, 2, replica);
+      es.shutdown_cluster();
+    } else {
+      WorkerMemory memory(&ctx.universe(), ctx.rank());
+      omp::TaskRuntime pool(1);
+      EventSystem es(ctx, opts, &memory, &pool);
+      if (ctx.rank() == 1) owner_memory.store(&memory);
+      es.wait_until_stopped();
+      EXPECT_EQ(memory.live(), 0u) << "worker leaked device memory";
+    }
   });
 }
 
@@ -348,9 +436,8 @@ void put_repeatedly(EventSystem& es, mpi::Rank from, mpi::Rank to,
   const auto src = alloc_on(es, from, n);
   const auto dst = alloc_on(es, to, n);
   for (int i = 0; i < reps; ++i) {
-    ArchiveWriter h;
-    h.put(RmaPutHeader{src, n, to, dst, 0});
-    es.start(from, EventKind::RmaPut, h.take(), {}, to)->wait();
+    es.start(from, EventKind::RmaPut, put_header(src, n, to, dst), {}, to)
+        ->wait();
   }
   delete_on(es, from, src);
   delete_on(es, to, dst);
@@ -404,9 +491,8 @@ TEST(EventSystemWakeups, ParkedRmaPutFailsWhenItsTargetDies) {
       [&](EventSystem& es, mpi::RankContext& ctx) {
         const auto src = alloc_on(es, 1, kBytes);
         const auto dst = alloc_on(es, 2, kBytes);
-        ArchiveWriter h;
-        h.put(RmaPutHeader{src, kBytes, 2, dst, 0});
-        auto put_ev = es.start(1, EventKind::RmaPut, h.take(), {}, 2);
+        auto put_ev = es.start(1, EventKind::RmaPut,
+                               put_header(src, kBytes, 2, dst), {}, 2);
         ASSERT_TRUE(eventually([&] { return live[1].load() != nullptr; }));
         const EventSystemStats& w1 = live[1].load()->stats();
         ASSERT_TRUE(eventually([&] { return w1.parked.load() == 1; }));
@@ -448,9 +534,8 @@ TEST(EventSystemWakeups, TeardownBeforeALateCompletionIsANoOp) {
         EventSystem es(ctx, opts, nullptr, nullptr);
         const auto src = alloc_on(es, 1, kBytes);
         const auto dst = alloc_on(es, 2, kBytes);
-        ArchiveWriter h;
-        h.put(RmaPutHeader{src, kBytes, 2, dst, 0});
-        auto put = es.start(1, EventKind::RmaPut, h.take(), {}, 2);
+        auto put = es.start(1, EventKind::RmaPut,
+                            put_header(src, kBytes, 2, dst), {}, 2);
         EXPECT_TRUE(eventually([&] { return acked.load(); }));
         EXPECT_FALSE(put->done()) << "a released event never completes";
         delete_on(es, 2, dst);
@@ -536,9 +621,8 @@ TEST(LaunchFailsFast, WorkerThrowingAtStartupFailsTheLaunch) {
               EventSystem es(ctx, opts, nullptr, nullptr);
               ASSERT_TRUE(
                   eventually([&] { return ctx.universe().is_dead(2); }));
-              ArchiveWriter h;
-              h.put(AllocHeader{8});
-              EXPECT_THROW(es.run(2, EventKind::Alloc, h.take()),
+              EXPECT_THROW(es.run(2, EventKind::Alloc,
+                                  encode_list<std::uint64_t>({8})),
                            WorkerDiedError);
               es.shutdown_cluster();
             } else {

@@ -189,6 +189,37 @@ TEST(MiniMpiNonblocking, TestPollsWithoutBlocking) {
   });
 }
 
+TEST(MiniMpiNonblocking, WhenAllWaitsForEveryMember) {
+  const auto fresh = [] {
+    return Request(std::make_shared<detail::RequestState>());
+  };
+  // Completes only with its last member, whatever the order; a member
+  // that completed before when_all counts at once.
+  std::vector<Request> reqs{fresh(), fresh(), fresh()};
+  reqs[1].state()->complete(Status{});
+  Request all = when_all(reqs);
+  reqs[2].state()->complete(Status{});
+  EXPECT_FALSE(all.test());
+  reqs[0].state()->complete(Status{});
+  EXPECT_TRUE(all.test());
+
+  // A killed member fails the composite, but not before the rest are done:
+  // nothing may still be in flight when it reports.
+  std::vector<Request> pair{fresh(), fresh()};
+  Request failed = when_all(pair);
+  pair[0].state()->kill(4);
+  EXPECT_FALSE(failed.test());
+  pair[1].state()->complete(Status{});
+  try {
+    failed.test();
+    FAIL() << "a composite with a killed member must throw";
+  } catch (const RankKilledError& e) {
+    EXPECT_EQ(e.rank(), 4);
+  }
+
+  EXPECT_TRUE(when_all(std::span<const Request>{}).test());
+}
+
 TEST(MiniMpiProbe, ProbeReportsSizeWithoutConsuming) {
   Universe::launch(instant(2), [](RankContext& ctx) {
     Comm comm = ctx.world();
