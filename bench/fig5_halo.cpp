@@ -1,14 +1,15 @@
-// Persistent-channel gate on the 3D halo-exchange workload (src/halo): the
+// ChannelPlan gate on the 3D halo-exchange workload (src/halo): the
 // steady-state iteration re-records the same wave every step, which is
-// exactly the shape the ChannelPlan pre-posts. Three measurements, each a
-// hard CI gate (exit 1, BENCH_persistent.json):
-//   1. wire envelopes per steady-state iteration, persistent vs transient,
-//      on BOTH transport conduits — persistent must be strictly fewer (the
-//      Delete/Alloc renegotiation traffic must actually disappear);
+// exactly the shape for which the ChannelPlan keeps device blocks allocated
+// across waves. Three measurements, each a hard CI gate (exit 1,
+// BENCH_persistent.json):
+//   1. wire envelopes per steady-state iteration, plan on ("persistent")
+//      vs off ("transient"), on BOTH transport conduits — the plan must be
+//      strictly fewer (the Delete/Alloc round trips must disappear);
 //   2. iteration latency p50/p99 with persistent_channels on vs off —
 //      p99(on) <= p99(off), and the armed run must report channels_armed
 //      and persistent_reuses > 0 (the plan is live, not just enabled);
-//   3. a worker killed while channels are armed: rollback invalidates the
+//   3. a worker killed while the plan is armed: rollback invalidates the
 //      plan and the recovered result stays bitwise-identical to the serial
 //      oracle.
 #include <algorithm>

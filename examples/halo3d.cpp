@@ -3,8 +3,8 @@
 // the six boundary faces, then update from the facing neighbor faces). The
 // iteration structure never changes, so steady state runs entirely on the
 // schedule cache — with persistent channels on (the default) the runtime
-// pre-posts the wave's receives and pre-arms its one-sided puts instead of
-// renegotiating them every iteration.
+// keeps each buffer's device blocks allocated across iterations and
+// re-fills them in place instead of freeing and re-allocating them.
 //
 // Usage: ./build/halo3d [nx ny nz] [cells] [iters] [workers] [transient]
 #include <cstdio>

@@ -195,9 +195,8 @@ void CheckpointStore::capture_on_workers(
     for (auto& [owner, b] : batches) {
       b.save_ev = command(owner, EventKind::SnapshotSave,
                           encode_list(b.regions));
-      if (locality_ == CheckpointLocality::Buddy)
-        b.buddy = buddy_of(owner, live_workers);
-      if (b.buddy < 0) continue;
+      b.buddy = buddy_of(owner, live_workers);
+      if (b.buddy < 0) continue;  // no distinct live buddy: no replica
       std::vector<std::uint64_t> sizes;
       sizes.reserve(b.regions.size());
       for (const SnapshotRegion& r : b.regions) sizes.push_back(r.size);

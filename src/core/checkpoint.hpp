@@ -14,14 +14,15 @@
 //  - Head: every dirty buffer is retrieved to the head (fanned out across
 //    the transfer pool) and copied there — the PR 1/PR 3 baseline, whose
 //    cost scales with dirty bytes × head NIC bandwidth;
-//  - WorkerLocal: each worker snapshots its dirty buffers into device-local
-//    shadow blocks (SnapshotSave, a rank-local memcpy); the head keeps only
-//    metadata {owner, shadow address, generation} plus bytes for buffers
-//    whose freshest copy already lives on the head;
-//  - Buddy: WorkerLocal plus one replica on the owner's ring successor
-//    among the live workers, shipped worker->worker by one-sided put —
-//    head traffic per boundary stays O(metadata) while recovery survives
-//    the snapshot owner's death.
+//  - Buddy: each worker snapshots its dirty buffers into device-local
+//    shadow blocks (SnapshotSave, a rank-local memcpy) plus one replica on
+//    the owner's ring successor among the live workers, shipped
+//    worker->worker by one-sided put. The head keeps only metadata {owner,
+//    buddy, shadow addresses, generation} plus bytes for buffers whose
+//    freshest copy already lives on the head, so head traffic per boundary
+//    stays O(metadata) while recovery survives the snapshot owner's death.
+//    With a single live worker there is no buddy and the shadow is the only
+//    worker-resident copy.
 //
 // Worker-local capture is batched per rank: one SnapshotSave list per
 // owner alongside one Alloc list per buddy, then one RmaPut list per owner

@@ -94,13 +94,6 @@ void WorkerMemory::register_window(offload::TargetPtr ptr) {
   universe_->windows().create(rank_, ptr, reinterpret_cast<void*>(ptr), n);
 }
 
-std::shared_ptr<const void> WorkerMemory::pin(offload::TargetPtr ptr) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = live_.find(ptr);
-  OMPC_CHECK_MSG(it != live_.end(), "pin of unknown device ptr " << ptr);
-  return std::shared_ptr<const void>(it->second.mem, it->second.mem.get());
-}
-
 mpi::Payload WorkerMemory::share(offload::TargetPtr ptr,
                                  std::size_t size) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -184,8 +177,7 @@ void OriginEvent::fail(mpi::Rank dead) {
 EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
                          WorkerMemory* memory, omp::TaskRuntime* exec_pool,
                          ReplicaStore* replica)
-    : opts_(opts),
-      rank_(ctx.rank()),
+    : rank_(ctx.rank()),
       control_(ctx.comm(0)),
       memory_(memory),
       exec_pool_(exec_pool),
@@ -234,11 +226,6 @@ mpi::Tag EventSystem::allocate_tag() {
   OMPC_CHECK_MSG(t <= mpi::kMaxUserTag,
                  "event tag space exhausted on rank " << rank_);
   return t;
-}
-
-void EventSystem::send_data(mpi::Rank dest, mpi::Tag tag,
-                            mpi::Payload payload) {
-  data_comm_for(tag).isend_payload(std::move(payload), dest, tag);
 }
 
 OriginEventPtr EventSystem::start(mpi::Rank dest, EventKind kind, Bytes header,
@@ -513,16 +500,11 @@ void EventSystem::gate_main() {
         if (a.kind == EventKind::RankDead) {
           ArchiveReader r(a.header);
           const auto h = r.get<RankDeadHeader>();
-          {
-            std::lock_guard<std::mutex> lock(origin_mutex_);
-            dead_ranks_.insert(h.rank);
-          }
-          // Any cached channel shape may involve the corpse, and the head
-          // retires every channel tag on recovery anyway: drop the cache
-          // wholesale so no pre-posted slot outlives the failure. Parked
-          // events need no wake: the kill already completed every request
-          // that waits on the corpse, and its hook resumed them.
-          clear_channels();
+          // Kept for a later promotion to head. Parked events need no wake:
+          // the kill already completed every request that waits on the
+          // corpse, and its hook resumed them.
+          std::lock_guard<std::mutex> lock(origin_mutex_);
+          dead_ranks_.insert(h.rank);
           continue;
         }
         RemoteEvent ev;
@@ -602,12 +584,8 @@ void EventSystem::handler_main() {
 void EventSystem::settle(RemoteEvent* pending, std::uint64_t seen_exits) {
   EventQueue& q = *queue_;
   // What the pending event waits on; none means TrimHeap's idle gate.
-  mpi::Request waiting;
-  if (pending != nullptr) {
-    waiting = pending->recv_channel != nullptr
-                  ? mpi::Request(pending->recv_channel->pr.state())
-                  : pending->io;
-  }
+  const mpi::Request waiting =
+      pending != nullptr ? pending->io : mpi::Request{};
   std::optional<RemoteEvent> released;
   const std::uint64_t id = pending != nullptr ? pending->id : 0;
   bool woke = false;
@@ -661,169 +639,6 @@ void EventSystem::send_completion(mpi::Rank to, mpi::Tag tag, Bytes result) {
   control_.isend_bytes(c.serialize(), to, kTagComplete);
 }
 
-// --- persistent channels -------------------------------------------------
-
-std::shared_ptr<EventSystem::PutChannel> EventSystem::arm_put_channel(
-    mpi::Rank peer, const RmaPutItem& item, const mpi::Comm& comm,
-    mpi::Tag tag) {
-  const PutKey key{peer, item.win, item.offset, item.src, item.size};
-  std::shared_ptr<PutChannel> ch;
-  {
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = put_channels_.find(key);
-    if (it != put_channels_.end()) {
-      if (it->second->in_use) return nullptr;  // same shape twice in flight
-      ch = it->second;
-      ch->in_use = true;
-    }
-  }
-  if (ch == nullptr) {
-    // Build outside the lock: put_init pre-resolves the peer's window. The
-    // pin keeps the source block alive across cycles AND keeps its address
-    // unique — the allocator cannot reuse it while the channel exists.
-    try {
-      auto keepalive = memory_->pin(item.src);
-      auto pr = comm.put_init(peer, item.win, item.offset,
-                              reinterpret_cast<const void*>(item.src),
-                              item.size, std::move(keepalive), tag);
-      ch = std::make_shared<PutChannel>();
-      ch->pr = std::move(pr);
-      ch->in_use = true;
-      std::lock_guard<std::mutex> lock(channel_mutex_);
-      // A raced twin just means our entry goes uncached (used once).
-      put_channels_.emplace(key, ch);
-    } catch (...) {
-      return nullptr;  // window gone / block gone: transient put handles it
-    }
-  }
-  try {
-    ch->pr.start();
-  } catch (...) {
-    // Sticky kill (peer died between cycles) or an arm failure: retire the
-    // channel and let the transient path resolve this event's outcome.
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = put_channels_.find(key);
-    if (it != put_channels_.end() && it->second == ch) put_channels_.erase(it);
-    ch->in_use = false;
-    return nullptr;
-  }
-  return ch;
-}
-
-EventSystem::PutCycle EventSystem::start_put(mpi::Rank peer,
-                                             const RmaPutItem& item,
-                                             mpi::Tag tag,
-                                             std::size_t stripe) {
-  const mpi::Comm comm = data_comm_for(tag, stripe);
-  PutCycle put;
-  // Steady-state fast path: a re-armed put into the pre-resolved window —
-  // no fresh request state, no re-registration.
-  if (opts_.persistent_channels)
-    put.channel = arm_put_channel(peer, item, comm, tag);
-  // Otherwise one-sided and transient: the payload shares our device
-  // memory (zero-copy source); the request completes when the peer acked
-  // the landing.
-  if (put.channel == nullptr)
-    put.io = comm.put(peer, item.win, item.offset,
-                      memory_->share(item.src, item.size), tag);
-  return put;
-}
-
-void EventSystem::finish_put(mpi::Rank peer, const RmaPutItem& item,
-                             PutCycle& put) {
-  try {
-    if (put.channel != nullptr)
-      put.channel->pr.test();
-    else
-      put.io.test();
-  } catch (const mpi::RankKilledError& e) {
-    if (e.rank() == rank_) throw;
-    if (put.channel != nullptr) {
-      std::lock_guard<std::mutex> lock(channel_mutex_);
-      const PutKey key{peer, item.win, item.offset, item.src, item.size};
-      const auto it = put_channels_.find(key);
-      if (it != put_channels_.end() && it->second == put.channel)
-        put_channels_.erase(it);
-    }
-  }
-  if (put.channel != nullptr) {
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    put.channel->in_use = false;
-    put.channel.reset();
-  }
-}
-
-std::shared_ptr<EventSystem::RecvChannel> EventSystem::arm_recv_channel(
-    mpi::Tag data_tag, offload::TargetPtr dst, std::uint64_t size,
-    mpi::Rank origin) {
-  const RecvKey key{origin, data_tag};
-  std::shared_ptr<RecvChannel> ch;
-  {
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(key);
-    if (it != recv_channels_.end()) {
-      RecvChannel& e = *it->second;
-      if (e.in_use) return nullptr;
-      if (e.dst == dst && e.size == size) {
-        ch = it->second;
-        ch->in_use = true;
-      } else {
-        // The destination block moved (realloc after a disarm): rebuild.
-        recv_channels_.erase(it);
-      }
-    }
-  }
-  if (ch == nullptr) {
-    try {
-      ch = std::make_shared<RecvChannel>();
-      ch->dst = dst;
-      ch->size = size;
-      ch->pr = data_comm_for(data_tag).recv_init(
-          reinterpret_cast<void*>(dst), size, origin, data_tag);
-      ch->in_use = true;
-      std::lock_guard<std::mutex> lock(channel_mutex_);
-      recv_channels_[key] = ch;
-    } catch (...) {
-      return nullptr;
-    }
-  }
-  try {
-    ch->pr.start();
-  } catch (...) {
-    // Origin already dead (RankKilledError): fall back to a transient
-    // irecv, which still matches a payload that landed before the death.
-    std::lock_guard<std::mutex> lock(channel_mutex_);
-    const auto it = recv_channels_.find(key);
-    if (it != recv_channels_.end() && it->second == ch)
-      recv_channels_.erase(it);
-    ch->in_use = false;
-    return nullptr;
-  }
-  return ch;
-}
-
-void EventSystem::evict_channels_for(offload::TargetPtr p) {
-  std::lock_guard<std::mutex> lock(channel_mutex_);
-  for (auto it = put_channels_.begin(); it != put_channels_.end();) {
-    if (std::get<3>(it->first) == p)
-      it = put_channels_.erase(it);
-    else
-      ++it;
-  }
-  for (auto it = recv_channels_.begin(); it != recv_channels_.end();) {
-    if (it->second->dst == p)
-      it = recv_channels_.erase(it);
-    else
-      ++it;
-  }
-}
-
-void EventSystem::clear_channels() {
-  std::lock_guard<std::mutex> lock(channel_mutex_);
-  put_channels_.clear();
-  recv_channels_.clear();
-}
-
 bool EventSystem::progress(RemoteEvent& ev) {
   const EventAnnounce& a = ev.announce;
   ArchiveReader header(a.header);
@@ -841,51 +656,20 @@ bool EventSystem::progress(RemoteEvent& ev) {
     case EventKind::Delete: {
       const auto h = header.get<DeleteHeader>();
       OMPC_CHECK(memory_ != nullptr);
-      // Channels reading or landing in the doomed block die with it (their
-      // pins release once no cycle is in flight).
-      evict_channels_for(h.ptr);
       memory_->free(h.ptr);
       send_completion(a.origin, a.tag, {});
       return true;
     }
     case EventKind::Submit: {
-      const auto h = header.get<SubmitHeader>();
+      // The payload was sent ahead of the announce on the event's own tag,
+      // so the receive always matches (it may already sit unexpected).
       if (ev.phase == 0) {
-        if (opts_.persistent_channels && h.data_tag != 0) {
-          ev.recv_channel =
-              arm_recv_channel(h.data_tag, h.dst, h.size, a.origin);
-          if (ev.recv_channel != nullptr) ev.phase = 2;
-        }
-        if (ev.phase == 0) {
-          // Transient slot; a non-zero data_tag still names the payload's
-          // wire tag (the origin armed, we could not).
-          const mpi::Tag t = h.data_tag != 0 ? h.data_tag : a.tag;
-          ev.io = data_comm_for(t).irecv(reinterpret_cast<void*>(h.dst),
-                                         h.size, a.origin, t);
-          ev.phase = 1;
-        }
+        const auto h = header.get<SubmitHeader>();
+        ev.io = data_comm_for(a.tag).irecv(reinterpret_cast<void*>(h.dst),
+                                           h.size, a.origin, a.tag);
+        ev.phase = 1;
       }
-      if (ev.phase == 2) {
-        try {
-          if (!ev.recv_channel->pr.test()) return false;
-        } catch (const mpi::RankKilledError& e) {
-          if (e.rank() == rank_) throw;
-          // The origin died with the cycle armed: the mailbox failed the
-          // pre-posted slot (never a zombie). Retire the channel and ack;
-          // the promoted head drops this completion as late.
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          const auto it = recv_channels_.find(RecvKey{a.origin, h.data_tag});
-          if (it != recv_channels_.end() && it->second == ev.recv_channel)
-            recv_channels_.erase(it);
-        }
-        {
-          std::lock_guard<std::mutex> lock(channel_mutex_);
-          ev.recv_channel->in_use = false;
-        }
-        ev.recv_channel.reset();
-      } else {
-        if (!ev.io.test()) return false;
-      }
+      if (!ev.io.test()) return false;
       send_completion(a.origin, a.tag, {});
       return true;
     }
@@ -923,9 +707,6 @@ bool EventSystem::progress(RemoteEvent& ev) {
       OMPC_CHECK(memory_ != nullptr);
       for (const offload::TargetPtr ptr :
            decode_list<offload::TargetPtr>(a.header)) {
-        // A put channel that replicated this shadow pins it: evict it with
-        // the block, as Delete does, or the shadow is never released.
-        evict_channels_for(ptr);
         // Tolerant: a head promoted from a one-boundary-stale replica may
         // drop shadows this rank released under the old head (orphan
         // sweeps after the generation the replica never saw). Ack the
@@ -943,13 +724,16 @@ bool EventSystem::progress(RemoteEvent& ev) {
       if (ev.phase == 0) {
         // One put per item, all in flight at once; the event parks on
         // their composite, which completes when every item has landed (or
-        // failed), so no handler blocks on remote I/O.
+        // failed), so no handler blocks on remote I/O. Each payload shares
+        // our device block (zero-copy source), and the items stripe over
+        // the data comms, keeping the VCI parallelism of one event per item.
         std::vector<mpi::Request> all;
         all.reserve(h.items.size());
-        ev.puts.reserve(h.items.size());
         for (std::size_t i = 0; i < h.items.size(); ++i) {
-          ev.puts.push_back(start_put(h.peer, h.items[i], a.tag, i));
-          all.push_back(ev.puts.back().request());
+          const RmaPutItem& item = h.items[i];
+          all.push_back(data_comm_for(a.tag, i).put(
+              h.peer, item.win, item.offset,
+              memory_->share(item.src, item.size), a.tag));
         }
         ev.io = mpi::when_all(all);
         ev.phase = 1;
@@ -962,9 +746,6 @@ bool EventSystem::progress(RemoteEvent& ev) {
         // origin half, which drops this completion as late.
         if (e.rank() == rank_) throw;
       }
-      for (std::size_t i = 0; i < h.items.size(); ++i)
-        finish_put(h.peer, h.items[i], ev.puts[i]);
-      ev.puts.clear();
       send_completion(a.origin, a.tag, {});
       return true;
     }

@@ -14,17 +14,20 @@
 //    unique tag; every data message of an event travels on a data
 //    communicator chosen round-robin by that tag (the VCI striping of
 //    §4.2's last paragraph) so events are isolated channels.
+//
+// Every transfer is a one-shot minimpi operation: a Submit payload is one
+// send matched by one receive on its event tag, an RmaPut item is one
+// one-sided put. What repeats across steady-state waves is the placement
+// of device blocks (the Data Manager's ChannelPlan), not any request.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -75,12 +78,6 @@ class WorkerMemory {
   /// Zero-copy read view of the allocation starting at `ptr` (must be a
   /// block base), pinned for the payload's lifetime.
   mpi::Payload share(offload::TargetPtr ptr, std::size_t size) const;
-
-  /// Pins the block at `ptr` (must be a block base) for the life of the
-  /// returned handle. Persistent put channels hold one per cycle source:
-  /// while pinned the allocator can never hand the address out again, so a
-  /// cached channel keyed by address cannot alias a future block.
-  std::shared_ptr<const void> pin(offload::TargetPtr ptr) const;
 
   /// Frees every block whose address is not in `keep` (TrimHeap): heap
   /// reconciliation after a head failover, when the dead head's bookkeeping
@@ -200,16 +197,11 @@ class EventSystem {
   Bytes run(mpi::Rank dest, EventKind kind, Bytes header,
             mpi::Payload payload = {});
 
-  /// Fresh event or persistent-channel tag. The counter is per origin rank
-  /// and never repeats, and every receive of a tag is posted for its exact
-  /// origin, so a promoted head cannot match the dead head's orphaned
-  /// payloads even when the two counters meet on the same value.
+  /// Fresh event tag. The counter is per origin rank and never repeats,
+  /// and every receive of a tag is posted for its exact origin, so a
+  /// promoted head cannot match the dead head's orphaned payloads even when
+  /// the two counters meet on the same value.
   mpi::Tag allocate_tag();
-
-  /// Ships `payload` to `dest` on the data comm selected by `tag`, outside
-  /// any event. The persistent Submit path uses this to put the payload on
-  /// a fixed channel tag (SubmitHeader::data_tag) instead of the event tag.
-  void send_data(mpi::Rank dest, mpi::Tag tag, mpi::Payload payload);
 
   // --- fault handling (paper §5) ---------------------------------------
 
@@ -219,8 +211,8 @@ class EventSystem {
   /// Thread-safe; called by the failure detector on the head.
   void fail_rank(mpi::Rank dead);
 
-  /// Head only: tells every live worker that `dead` died, so they drop
-  /// their channel caches and re-check parked events against it.
+  /// Head only: tells every live worker that `dead` died, so a worker
+  /// promoted to head later knows the dead set.
   void announce_rank_dead(mpi::Rank dead);
 
   /// Whether `r` has been declared dead (local knowledge).
@@ -230,6 +222,10 @@ class EventSystem {
   /// the simulated universe (a corpse no detector has flagged yet). The
   /// checkpoint store uses this to resolve which snapshot holder survives.
   bool is_rank_gone(mpi::Rank r) const;
+
+  /// The simulated universe this rank runs in (fault injection at a chosen
+  /// protocol point, e.g. between two waves).
+  mpi::Universe& universe() const noexcept { return control_.universe(); }
 
   /// Blocks until no origin event is outstanding — the quiescent point the
   /// recovery path needs before it mutates cluster-wide data state.
@@ -250,44 +246,6 @@ class EventSystem {
   mpi::Rank rank() const noexcept { return rank_; }
 
  private:
-  // --- persistent channels (destination side) --------------------------
-  //
-  // Caches of re-armable minimpi requests keyed by the wave structure, so
-  // a steady-state wave re-uses its pre-posted receives and pre-armed puts
-  // instead of allocating fresh mailbox slots and re-resolving windows.
-  // Entries are shared_ptrs: eviction detaches an entry from the cache
-  // while the handler mid-cycle keeps it alive until the cycle settles.
-
-  /// Pre-armed one-sided put, keyed by its full wire shape.
-  struct PutChannel {
-    mpi::PersistentRequest pr;
-    bool in_use = false;  ///< a handler owns the current cycle
-  };
-  /// (peer, win, offset, src, size) — an RmaPut item and its peer.
-  using PutKey = std::tuple<mpi::Rank, offload::TargetPtr, std::uint64_t,
-                            offload::TargetPtr, std::uint64_t>;
-
-  /// One RmaPut item in flight: a persistent channel's cycle, or a
-  /// transient put when no channel could be armed.
-  struct PutCycle {
-    std::shared_ptr<PutChannel> channel;
-    mpi::Request io;  ///< the transient put (no channel)
-
-    mpi::Request request() const {
-      return channel != nullptr ? mpi::Request(channel->pr.state()) : io;
-    }
-  };
-
-  /// Pre-posted receive of a Submit payload on a fixed channel tag.
-  struct RecvChannel {
-    mpi::PersistentRequest pr;
-    offload::TargetPtr dst = 0;
-    std::uint64_t size = 0;
-    bool in_use = false;
-  };
-  /// (origin, channel tag): each origin allocates its own tags.
-  using RecvKey = std::pair<mpi::Rank, mpi::Tag>;
-
   /// Destination half of an event (the E_D of Figure 3).
   struct RemoteEvent {
     EventAnnounce announce;
@@ -298,8 +256,6 @@ class EventSystem {
     /// item puts (mpi::when_all).
     mpi::Request io;
     std::shared_ptr<Bytes> blob;  ///< HeadState payload landing buffer
-    std::vector<PutCycle> puts;   ///< RmaPut: one per item, in order
-    std::shared_ptr<RecvChannel> recv_channel;  ///< phase 2: persistent recv
   };
 
   /// The handler queue and the parking lot of events waiting on I/O. Owned
@@ -328,43 +284,6 @@ class EventSystem {
     /// Caller holds `mutex`.
     bool wake_idle_locked();
   };
-
-  /// Finds-or-creates and start()s the put channel for `item`; null means
-  /// fall back to a transient put this time (channel busy, window gone,
-  /// peer dead). A fresh channel puts on `comm` with accounting tag `tag`.
-  std::shared_ptr<PutChannel> arm_put_channel(mpi::Rank peer,
-                                              const RmaPutItem& item,
-                                              const mpi::Comm& comm,
-                                              mpi::Tag tag);
-
-  /// Starts item `stripe` of RmaPut event `tag`: on a re-armed channel when
-  /// one can be armed, else as a transient put. Items stripe over the data
-  /// comms, so a list keeps the VCI parallelism of one event per item.
-  PutCycle start_put(mpi::Rank peer, const RmaPutItem& item, mpi::Tag tag,
-                     std::size_t stripe);
-
-  /// Settles a completed item: frees its channel for the next cycle, or
-  /// retires the channel when the peer died under it (the head has already
-  /// failed the origin half). Rethrows this rank's own death.
-  void finish_put(mpi::Rank peer, const RmaPutItem& item, PutCycle& put);
-
-  /// Finds-or-creates and start()s the recv channel for `origin`'s
-  /// `data_tag` (shape mismatches rebuild the entry — the destination
-  /// block moved); null means fall back to a transient irecv this time.
-  std::shared_ptr<RecvChannel> arm_recv_channel(mpi::Tag data_tag,
-                                                offload::TargetPtr dst,
-                                                std::uint64_t size,
-                                                mpi::Rank origin);
-
-  /// Drops every channel that reads or writes the local block at `p`
-  /// (about to be freed by a Delete or SnapshotDrop event). A cached put
-  /// channel pins its source block, so a block freed without this stays
-  /// allocated for the life of the cache.
-  void evict_channels_for(offload::TargetPtr p);
-
-  /// Drops the whole channel cache (RankDead: any cached shape may involve
-  /// the corpse, and post-recovery tags are fresh anyway).
-  void clear_channels();
 
   void gate_main();
 
@@ -397,7 +316,6 @@ class EventSystem {
   void enqueue_remote(RemoteEvent&& ev);
   void stop_local();
 
-  const ClusterOptions opts_;
   const mpi::Rank rank_;
   mpi::Comm control_;
   std::vector<mpi::Comm> data_comms_;
@@ -413,12 +331,6 @@ class EventSystem {
   std::unordered_map<mpi::Tag, OriginEventPtr> origin_events_;
   std::unordered_set<mpi::Rank> dead_ranks_;
   std::atomic<mpi::Tag> next_tag_{kFirstEventTag};
-
-  // Channel caches (see the structs above). The mutex guards the maps and
-  // the in_use flags; a cycle in flight is owned by exactly one handler.
-  std::mutex channel_mutex_;
-  std::map<PutKey, std::shared_ptr<PutChannel>> put_channels_;
-  std::map<RecvKey, std::shared_ptr<RecvChannel>> recv_channels_;
 
   // Local destination-event queue and parking lot. active_events_ counts
   // events currently inside progress() — TrimHeap defers until it is the

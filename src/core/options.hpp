@@ -38,14 +38,13 @@ enum class CheckpointLocality {
   /// copied there — capture cost scales with dirty bytes × head bandwidth.
   Head,
   /// Each worker snapshots its dirty buffers into device-local shadow
-  /// copies; the head keeps metadata only (plus bytes for head-resident
-  /// buffers). No redundancy: the snapshot dies with its owner.
-  WorkerLocal,
-  /// WorkerLocal plus one replica on a buddy rank (the owner's ring
-  /// successor among the live workers), shipped as one RmaPut straight
-  /// into the buddy's block. Recovery survives the owner's death;
-  /// owner AND buddy dying in one period degrades to a clean
-  /// RecoveryError (or the head entry when one exists).
+  /// copies, plus one replica on a buddy rank (the owner's ring successor
+  /// among the live workers) shipped as one RmaPut straight into the
+  /// buddy's block; the head keeps metadata only (plus bytes for
+  /// head-resident buffers). Recovery survives the owner's death; owner
+  /// AND buddy dying in one period degrades to a clean RecoveryError (or
+  /// the head entry when one exists). With one live worker there is no
+  /// buddy, and the snapshot dies with its owner.
   Buddy,
 };
 
@@ -105,15 +104,14 @@ struct ClusterOptions {
   Forwarding forwarding = Forwarding::Direct;
   SchedulerKind scheduler = SchedulerKind::Heft;
 
-  /// Persistent message channels (ablation knob, bench/fig5_halo): when the
-  /// schedule cache hits — same structural_hash, same live-worker set — the
-  /// steady-state wave path arms a ChannelPlan of pre-posted receives and
-  /// pre-armed one-sided puts (minimpi send_init/recv_init/put_init) and
-  /// the Data Manager keeps device allocations alive across waves, so a
-  /// repeated wave re-uses its channels instead of re-allocating mailbox
-  /// slots and re-resolving windows. Invalidated on rollback, membership
-  /// change, head failover and tenant-set change, so recovery stays
-  /// bitwise-identical to the transient path. Off = every wave transient.
+  /// The ChannelPlan (ablation knob, bench/fig5_halo): when the schedule
+  /// cache hits — same structural_hash, same live-worker set — the Data
+  /// Manager keeps device allocations alive across waves, so a repeated
+  /// wave re-fills its blocks in place instead of paying Delete+Alloc round
+  /// trips. Transfers take the one transient path either way. Invalidated
+  /// on rollback, membership change, head failover and tenant-set change,
+  /// so recovery stays bitwise-identical. Off = every write invalidation
+  /// frees the stale replica.
   bool persistent_channels = true;
 
   /// Transport conduit for the simulated universe (see minimpi/conduit.hpp;

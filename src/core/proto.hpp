@@ -96,8 +96,8 @@ enum ControlTag : mpi::Tag {
 inline constexpr mpi::Tag kFirstEventTag = mpi::kFirstDataTag;
 
 // Layout invariants of the tag map. Control tags are pairwise distinct and
-// below the data boundary; event tags (persistent-channel tags included —
-// EventSystem::allocate_tag hands out both) start at the boundary.
+// below the data boundary; event tags (EventSystem::allocate_tag) start at
+// the boundary.
 static_assert(kTagNewEvent != kTagComplete &&
               kTagComplete != kTagSnapshotPut &&
               kTagNewEvent != kTagSnapshotPut);
@@ -138,10 +138,6 @@ struct DeleteHeader {
 struct SubmitHeader {
   offload::TargetPtr dst = 0;
   std::uint64_t size = 0;
-  /// Non-zero: the payload travels on this fixed channel tag instead of the
-  /// event's own tag, so the destination's pre-posted persistent receive
-  /// (ChannelPlan) matches it without a fresh mailbox slot. 0 = transient.
-  mpi::Tag data_tag = 0;
 };
 
 struct RetrieveHeader {
@@ -160,7 +156,7 @@ struct SnapshotRegion {
 };
 
 /// Broadcast by the head after the failure detector declares a rank dead so
-/// workers drop their channel caches and re-check their parked events.
+/// every worker knows the dead set (a worker promoted to head needs it).
 struct RankDeadHeader {
   mpi::Rank rank = -1;
 };

@@ -281,10 +281,8 @@ void Runtime::run_wave(const ClusterGraph& graph) {
     note_cache_hit(graph.tenant());
     stats_.makespan_estimate_s = it->second.makespan_estimate_s;
     // Steady state: the wave shape is known (same structural hash, same
-    // live-worker set — both in the cache key), so arm the ChannelPlan.
-    // The dispatched transfers ride pre-posted persistent receives and
-    // pre-armed puts, and write invalidations keep device blocks for next
-    // wave's re-fill.
+    // live-worker set — both in the cache key), so arm the ChannelPlan:
+    // write invalidations keep device blocks for next wave's re-fill.
     if (opts_.persistent_channels) {
       dm_.arm_channels();
       ++stats_.channels_armed;
@@ -293,8 +291,9 @@ void Runtime::run_wave(const ClusterGraph& graph) {
     dispatch(graph, it->second);
     return;
   }
-  // A structurally new wave is not the cached shape: back to transient
-  // channels until the cache hits again (the plan is keyed to the shape).
+  // A structurally new wave is not the cached shape: write invalidations
+  // free stale blocks again until the cache hits (the plan is keyed to the
+  // shape).
   dm_.disarm_channels();
   const ScheduleResult sched =
       schedule(opts_.scheduler, graph, num_live_workers(),
@@ -336,7 +335,7 @@ void Runtime::report_worker_failure(mpi::Rank dead) {
                                                std::memory_order_acq_rel);
   failures_reported_.fetch_add(1, std::memory_order_acq_rel);
   // Abort in-flight events touching the corpse (helper threads unwind with
-  // WorkerDiedError) and tell live workers to drop channels involving it.
+  // WorkerDiedError) and tell live workers, so a later head knows it.
   ev->fail_rank(dead);
   ev->announce_rank_dead(dead);
 }
@@ -350,8 +349,8 @@ void Runtime::rollback(mpi::Rank dead) {
                                                std::memory_order_acq_rel);
   // Cached schedules were computed for the pre-failure worker set; the
   // re-ranked survivors must be scheduled fresh. The ChannelPlan goes with
-  // them: replay must run transient (and with retired channel tags) so
-  // recovery stays bitwise-identical to an unfailed run.
+  // them: replay runs with the plan disarmed, so recovery stays
+  // bitwise-identical to an unfailed run.
   schedule_cache_.clear();
   dm_.disarm_channels();
 
@@ -619,7 +618,7 @@ TenantId Runtime::create_tenant(double weight) {
   TenantState& ts = tenants_[id];
   ts.stats.weight = weight > 0.0 ? weight : 1.0;
   // A new tenant changes the wave interleaving the scheduler will produce,
-  // so the pre-armed wave-shape channels are no longer the steady state.
+  // so the armed wave shape is no longer the steady state.
   dm_.disarm_channels();
   return id;
 }
@@ -1150,8 +1149,8 @@ void Runtime::failover() {
   ckpt_.rebind(events_);
   adopt_replica();
   schedule_cache_.clear();
-  // The dead head's ChannelPlan dies with it: replay runs transient, and
-  // every worker posts the promoted head's channel receives for the new
+  // The dead head's ChannelPlan dies with it: replay runs with the plan
+  // disarmed. Every worker posts the promoted head's receives for the new
   // head's rank, so the dead head's orphaned payloads can never match one.
   dm_.disarm_channels();
 
@@ -1464,7 +1463,7 @@ void Runtime::process_membership_requests() {
   }
   if (changed) {
     // Schedules were computed for the old worker table — and so was the
-    // ChannelPlan (its shapes name ranks): both invalidate together.
+    // ChannelPlan (its kept blocks name ranks): both invalidate together.
     schedule_cache_.clear();
     dm_.disarm_channels();
     broadcast_membership();

@@ -97,8 +97,9 @@ struct RuntimeStats {
   // identical DAG every step; rescheduling it is pure head overhead).
   std::int64_t schedule_cache_hits = 0;  ///< waves served from the cache
 
-  // Persistent channels (the per-wave ChannelPlan; bench/fig5_halo gates
-  // these — a steady-state run must arm and then actually re-use).
+  // The per-wave ChannelPlan: device blocks kept across cache-hit waves
+  // (bench/fig5_halo gates these — a steady-state run must arm and then
+  // actually re-use).
   std::int64_t channels_armed = 0;       ///< waves dispatched with the plan
                                          ///< armed (schedule-cache hits with
                                          ///< persistent_channels on)

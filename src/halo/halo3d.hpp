@@ -4,8 +4,8 @@
 // update (7-point stencil reading the 6 facing neighbor faces) — with one
 // wait_all() per iteration, so steady state is the SAME wave re-recorded
 // every step: the schedule cache hits and, with persistent_channels on, the
-// runtime arms its per-wave ChannelPlan (bench/fig5_halo gates exactly
-// that). Shared by examples/halo3d, bench/fig5_halo and tests/test_halo.
+// runtime arms its per-wave ChannelPlan, keeping device blocks allocated
+// across waves (bench/fig5_halo gates exactly that). Shared by examples/halo3d, bench/fig5_halo and tests/test_halo.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +42,7 @@ struct HaloResult {
 /// knob via `opts` (conduit, persistent_channels, checkpointing, kills...).
 /// `before_iter`, when set, runs on the head before each iteration's tasks
 /// are recorded — the membership tests use it to join/leave workers while
-/// channels are armed.
+/// the plan is armed.
 HaloResult run_halo3d(
     const core::ClusterOptions& opts, const HaloSpec& spec,
     const std::function<void(core::Runtime&, int)>& before_iter = {});

@@ -44,7 +44,7 @@ inline std::atomic<std::int64_t> g_payload_copies{0};
 inline std::atomic<std::int64_t> g_payload_copy_bytes{0};
 }  // namespace detail
 
-inline constexpr bool is_data_tag(Tag tag) noexcept {
+inline constexpr bool is_data_plane_tag(Tag tag) noexcept {
   return tag >= kFirstDataTag && tag <= kMaxUserTag;
 }
 
@@ -52,7 +52,7 @@ inline constexpr bool is_data_tag(Tag tag) noexcept {
 /// non-data tags). Called by the matching engine on delivery and by any
 /// producer that stages bytes into an owned payload.
 inline void note_payload_copy(Tag tag, std::size_t bytes) {
-  if (!is_data_tag(tag)) return;
+  if (!is_data_plane_tag(tag)) return;
   detail::g_payload_copies.fetch_add(1, std::memory_order_relaxed);
   detail::g_payload_copy_bytes.fetch_add(static_cast<std::int64_t>(bytes),
                                          std::memory_order_relaxed);
@@ -125,18 +125,6 @@ class Payload {
   /// for it via note_payload_copy (only the mailbox knows the tag).
   void copy_to(void* dst) const {
     if (size_ != 0) std::memcpy(dst, data_, size_);
-  }
-
-  /// Converts a borrowed view into owned bytes; no-op when the payload
-  /// already owns or pins its storage. Transports call this before parking
-  /// a message whose sender was (or is about to be) released eagerly — a
-  /// borrowed pointer must not outlive the sender's right to reuse it.
-  void materialize() {
-    if (size_ == 0 || data_ == owned_.data() || keepalive_ != nullptr) return;
-    Bytes b(size_);
-    std::memcpy(b.data(), data_, size_);
-    owned_ = std::move(b);
-    data_ = owned_.data();
   }
 
  private:

@@ -123,13 +123,6 @@ class Universe {
   Request rma_start(Envelope&& env, std::byte* get_dst = nullptr,
                     std::size_t get_capacity = 0);
 
-  /// Persistent one-sided re-arm: registers `state` (a pre-existing,
-  /// re-armed slot) as the pending op for `env` and posts it — rma_start
-  /// without the state allocation. The slot completes exactly like a
-  /// transient put/get (ack/reply, or kill when a rank dies).
-  void rma_restart(Envelope&& env,
-                   const std::shared_ptr<detail::RequestState>& state);
-
   /// Waits for every pending one-sided op of `origin` toward `target`
   /// (kAnySource: toward anyone). Throws RankKilledError like wait().
   void rma_flush(Rank origin, Rank target);

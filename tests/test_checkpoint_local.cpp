@@ -60,7 +60,7 @@ TaskBenchSpec stepwise_spec(Pattern p) {
 
 // --- failure-free: the head sees metadata, not bytes ----------------------
 
-TEST(WorkerLocalCheckpoint, BuddyModeKeepsCaptureBytesOffTheHead) {
+TEST(BuddyCheckpoint, BuddyModeKeepsCaptureBytesOffTheHead) {
   TaskBenchSpec spec = stepwise_spec(Pattern::Stencil1D);
   spec.iterations = 0;  // no compute needed without kills
   spec.output_bytes = 4096;
@@ -125,28 +125,33 @@ const offload::KernelId kIncrement =
           *ctx.buffer<std::uint64_t>(0) += 1;
         });
 
-TEST(WorkerLocalCheckpoint, OwnerAndBuddyDyingInOnePeriodIsRecoveryError) {
-  // One buffer, one 30 ms task per wave: HEFT pins the task to the first
-  // worker (rank 1), whose ring buddy is rank 2. Both die at the same
-  // instant — any gap between the kills is a race, because recovery from
-  // the owner's death fetches the buddy's shadow to the head and the now
-  // head-resident entry would survive the buddy's later death. With no
-  // window for that hoist, the latest snapshot's owner and buddy are both
-  // gone and so is the prior generation's (same pinned placement):
-  // recovery must surface a clean RecoveryError — the sole survivor
-  // (rank 3) holds no copy.
+TEST(BuddyCheckpoint, OwnerAndBuddyDyingInOnePeriodIsRecoveryError) {
+  // One buffer, one task per wave: HEFT pins the task to the first worker
+  // (rank 1), whose ring buddy is rank 2. After the third wave two
+  // worker-resident boundaries exist (before waves 1 and 2), both held by
+  // ranks 1 and 2. Both die between waves, before the next one starts —
+  // no recovery can run in between and hoist the buddy's shadow to the
+  // head, where it would survive. The latest snapshot's owner and buddy
+  // are gone and so are the prior generation's: recovery must surface a
+  // clean RecoveryError — the sole survivor (rank 3) holds no copy.
   ClusterOptions opts = buddy_opts(3);
-  opts.kills.push_back({1, 100'000'000});
-  opts.kills.push_back({2, 100'000'000});
 
   std::uint64_t cell = 0;
   const auto body = [&](core::Runtime& rt) {
     rt.enter_data(&cell, sizeof cell);
     for (int w = 0; w < 16; ++w) {
       core::Args args;
-      args.buf(&cell).scalar<std::int64_t>(30'000'000);
-      rt.target({omp::inout(&cell)}, kIncrement, std::move(args), 30e-3);
+      args.buf(&cell).scalar<std::int64_t>(1'000'000);
+      rt.target({omp::inout(&cell)}, kIncrement, std::move(args), 1e-3);
       rt.wait_all();
+      if (w != 2) continue;
+      ASSERT_EQ(rt.checkpoints().worker_resident_entries(), 1u);
+      ASSERT_FALSE(rt.checkpoints().shadows_on(1).empty());
+      ASSERT_FALSE(rt.checkpoints().shadows_on(2).empty());
+      mpi::Universe& u = rt.events().universe();
+      u.kill_rank(1, 0);
+      u.kill_rank(2, 0);
+      while (!u.is_dead(1) || !u.is_dead(2)) precise_sleep_ns(100'000);
     }
     rt.exit_data(&cell);
   };
@@ -234,7 +239,7 @@ void kill_and_wait(mpi::Universe& u, mpi::Rank r) {
   while (!u.is_dead(r)) precise_sleep_ns(1'000'000);
 }
 
-TEST(WorkerLocalCheckpoint, DeathMidCaptureLeavesPreviousGenerationIntact) {
+TEST(BuddyCheckpoint, DeathMidCaptureLeavesPreviousGenerationIntact) {
   // Generation 1 snapshots value 1 (owner rank 1, buddy rank 2). The buddy
   // then dies, so the generation-2 capture aborts mid-snapshot — and the
   // committed generation must still restore value 1 from the owner.
@@ -282,7 +287,7 @@ struct FourCells {
   }
 };
 
-TEST(WorkerLocalCheckpoint, BatchedCaptureAbortRestoresThePreviousGeneration) {
+TEST(BuddyCheckpoint, BatchedCaptureAbortRestoresThePreviousGeneration) {
   // Owner 1's buddy is rank 2, owner 2's is rank 3. Rank 3 dies before
   // the second boundary, so that capture aborts after owner 1's save and
   // alloc and owner 2's save went out. The committed generation still
@@ -323,7 +328,7 @@ TEST(WorkerLocalCheckpoint, BatchedCaptureAbortRestoresThePreviousGeneration) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, NextCommitFreesTheAbortedCapturesShadows) {
+TEST(BuddyCheckpoint, NextCommitFreesTheAbortedCapturesShadows) {
   // Same abort as above, but the next boundary commits before any restore:
   // its drops must free every shadow the aborted capture parked, leaving
   // each survivor with exactly its Data Manager blocks plus the shadows
@@ -364,7 +369,7 @@ TEST(WorkerLocalCheckpoint, NextCommitFreesTheAbortedCapturesShadows) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, RestoreSettlesTheLastCommitsDrops) {
+TEST(BuddyCheckpoint, RestoreSettlesTheLastCommitsDrops) {
   // The third commit drops the first generation's shadows without waiting
   // for the acks; a restore right after it must settle them before doing
   // anything else.
@@ -395,7 +400,7 @@ TEST(WorkerLocalCheckpoint, RestoreSettlesTheLastCommitsDrops) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, RestoreFallsBackToBuddyWhenOwnerDies) {
+TEST(BuddyCheckpoint, RestoreFallsBackToBuddyWhenOwnerDies) {
   MiniCluster c(2);
   c.run([](DataManager& dm, EventSystem& events, mpi::Universe& u) {
     std::uint64_t cell = 0;
@@ -422,7 +427,7 @@ TEST(WorkerLocalCheckpoint, RestoreFallsBackToBuddyWhenOwnerDies) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, SnapshotLostWhenEveryHolderDies) {
+TEST(BuddyCheckpoint, SnapshotLostWhenEveryHolderDies) {
   MiniCluster c(2);
   c.run([](DataManager& dm, EventSystem& events, mpi::Universe& u) {
     std::uint64_t cell = 0;
@@ -442,7 +447,7 @@ TEST(WorkerLocalCheckpoint, SnapshotLostWhenEveryHolderDies) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, DoubleKillFallsBackToPriorGeneration) {
+TEST(BuddyCheckpoint, DoubleKillFallsBackToPriorGeneration) {
   // Generation 1 snapshots value 1 (owner rank 1, buddy rank 2); the write
   // then moves to rank 3, so generation 2 snapshots value 2 with owner
   // rank 3, buddy rank 1. Killing ranks 3 AND 1 voids generation 2 — but
@@ -476,7 +481,7 @@ TEST(WorkerLocalCheckpoint, DoubleKillFallsBackToPriorGeneration) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, SnapshotLossNamesTheUnrecoverableBuffers) {
+TEST(BuddyCheckpoint, SnapshotLossNamesTheUnrecoverableBuffers) {
   // When no generation survives, the error must say exactly which buffers
   // are gone and who held them — the difference between a debuggable
   // failure report and a shrug.
@@ -508,7 +513,7 @@ TEST(WorkerLocalCheckpoint, SnapshotLossNamesTheUnrecoverableBuffers) {
   });
 }
 
-TEST(WorkerLocalCheckpoint, CleanEntryWithDeadHoldersIsRecaptured) {
+TEST(BuddyCheckpoint, CleanEntryWithDeadHoldersIsRecaptured) {
   // A clean buffer's entry normally rides along by reference — but when
   // every holder of its shadow died, reuse would checkpoint a promise
   // nobody can keep. Capture must re-snapshot it from the current freshest
@@ -517,23 +522,26 @@ TEST(WorkerLocalCheckpoint, CleanEntryWithDeadHoldersIsRecaptured) {
   c.run([](DataManager& dm, EventSystem& events, mpi::Universe& u) {
     std::uint64_t cell = 0;
     dm.register_buffer(&cell, sizeof cell);
-    CheckpointStore ckpt(&events, CheckpointLocality::WorkerLocal);
+    CheckpointStore ckpt(&events, CheckpointLocality::Buddy);
     const mpi::Rank live[] = {1, 2, 3};
 
     write_on_worker(dm, events, 1, &cell, 5);
     ckpt.capture(dm, 0, live);
     EXPECT_EQ(ckpt.worker_resident_entries(), 1u);
 
-    // WorkerLocal has no buddy: the owner dying strands the snapshot...
+    // The owner (rank 1) and its buddy (rank 2) both die: the snapshot is
+    // stranded...
     kill_and_wait(u, 1);
+    kill_and_wait(u, 2);
     dm.purge_rank(1);
+    dm.purge_rank(2);
     dm.reset_all_to_host();
     EXPECT_THROW(ckpt.restore(dm), RecoveryError);
 
     // ...but the next boundary self-heals: the clean entry is re-captured
     // from the head copy (which still holds 0 after reset) instead of
     // reused, and restore works again.
-    const mpi::Rank survivors[] = {2, 3};
+    const mpi::Rank survivors[] = {3};
     cell = 5;  // pretend replay regenerated the value on the head
     ckpt.capture(dm, 1, survivors);
     EXPECT_EQ(ckpt.worker_resident_entries(), 0u);
@@ -545,7 +553,7 @@ TEST(WorkerLocalCheckpoint, CleanEntryWithDeadHoldersIsRecaptured) {
 
 // --- composition with the ViaHead forwarding ablation ---------------------
 
-TEST(WorkerLocalCheckpoint, BuddyComposesWithViaHeadForwarding) {
+TEST(BuddyCheckpoint, BuddyComposesWithViaHeadForwarding) {
   const TaskBenchSpec spec = stepwise_spec(Pattern::Stencil1D);
   ClusterOptions opts = buddy_opts(3);
   opts.forwarding = core::Forwarding::ViaHead;

@@ -3,6 +3,7 @@
 // with pending I/O.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <stdexcept>
@@ -165,48 +166,38 @@ TEST(EventSystem, RmaPutForwardsWorkerToWorker) {
 
 TEST(EventSystem, RmaPutListLandsEveryItem) {
   // One RmaPut carries several puts, striped over the data comms; the
-  // event completes only once every item has landed, on either put path.
-  for (const bool channels : {true, false}) {
-    SCOPED_TRACE(channels ? "persistent puts" : "transient puts");
-    ClusterOptions opts;
-    opts.persistent_channels = channels;
-    with_cluster(
-        2,
-        [](EventSystem& es) {
-          constexpr std::size_t kItems = 5;
-          constexpr std::size_t n = 1024;
-          RmaPutHeader put;
-          put.peer = 2;
-          std::vector<Bytes> payloads;
-          for (std::size_t i = 0; i < kItems; ++i) {
-            const auto src = alloc_on(es, 1, n);
-            payloads.emplace_back(n, static_cast<std::byte>(0x40 + i));
-            ArchiveWriter sh;
-            sh.put(SubmitHeader{src, n});
-            es.run(1, EventKind::Submit, sh.take(), Bytes(payloads.back()));
-            put.items.push_back({src, n, alloc_on(es, 2, n), 0});
-          }
-          for (int round = 0; round < 2; ++round)  // the second re-arms
-            es.start(1, EventKind::RmaPut, put.serialize(), {}, 2)->wait();
-          for (std::size_t i = 0; i < kItems; ++i) {
-            Bytes back(n);
-            es.start_retrieve(2, put.items[i].win, back.data(), n)->wait();
-            EXPECT_EQ(back, payloads[i]) << "item " << i;
-            delete_on(es, 1, put.items[i].src);
-            delete_on(es, 2, put.items[i].win);
-          }
-        },
-        opts);
-  }
+  // event completes only once every item has landed.
+  with_cluster(2, [](EventSystem& es) {
+    constexpr std::size_t kItems = 5;
+    constexpr std::size_t n = 1024;
+    RmaPutHeader put;
+    put.peer = 2;
+    std::vector<Bytes> payloads;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      const auto src = alloc_on(es, 1, n);
+      payloads.emplace_back(n, static_cast<std::byte>(0x40 + i));
+      ArchiveWriter sh;
+      sh.put(SubmitHeader{src, n});
+      es.run(1, EventKind::Submit, sh.take(), Bytes(payloads.back()));
+      put.items.push_back({src, n, alloc_on(es, 2, n), 0});
+    }
+    for (int round = 0; round < 2; ++round)  // the second re-fills in place
+      es.start(1, EventKind::RmaPut, put.serialize(), {}, 2)->wait();
+    for (std::size_t i = 0; i < kItems; ++i) {
+      Bytes back(n);
+      es.start_retrieve(2, put.items[i].win, back.data(), n)->wait();
+      EXPECT_EQ(back, payloads[i]) << "item " << i;
+      delete_on(es, 1, put.items[i].src);
+      delete_on(es, 2, put.items[i].win);
+    }
+  });
 }
 
 TEST(EventSystem, SnapshotDropReleasesAReplicatedShadow) {
-  // Replicating a shadow arms a persistent put channel, which pins its
-  // source block. SnapshotDrop must evict the shadow's channels as Delete
-  // does, or the shadow stays allocated for the life of the cache.
+  // A shadow that was the source of a replica put is freed by SnapshotDrop
+  // like any other: the owner's heap is back to the one live block.
   ClusterOptions opts;
   opts.num_workers = 2;
-  ASSERT_TRUE(opts.persistent_channels);
   mpi::UniverseOptions uopts;
   uopts.ranks = opts.ranks();
   uopts.comms = 1 + opts.vci;
@@ -224,13 +215,11 @@ TEST(EventSystem, SnapshotDropReleasesAReplicatedShadow) {
       es.start(1, EventKind::RmaPut, put_header(shadow, n, 2, replica), {}, 2)
           ->wait();
       ASSERT_TRUE(eventually([&] { return owner_memory.load() != nullptr; }));
-      const std::weak_ptr<const void> pinned = owner_memory.load()->pin(shadow);
+      EXPECT_EQ(owner_memory.load()->live(), 2u);
       es.run(1, EventKind::SnapshotDrop,
              encode_list(std::vector<offload::TargetPtr>{shadow}));
-      // The put's payload may still be unwinding on the delivery thread;
-      // only a pin nobody releases keeps the block past it.
-      EXPECT_TRUE(eventually([&] { return pinned.expired(); }, 2.0))
-          << "the dropped shadow is still pinned by its put channel";
+      EXPECT_EQ(owner_memory.load()->live(), 1u)
+          << "the dropped shadow is still allocated";
       delete_on(es, 1, src);
       delete_on(es, 2, replica);
       es.shutdown_cluster();
@@ -245,67 +234,70 @@ TEST(EventSystem, SnapshotDropReleasesAReplicatedShadow) {
   });
 }
 
-TEST(EventSystem, TwoOriginsShareAChannelTagOnOneWorker) {
-  // Channel tags come from each origin's own event-tag counter, so two
-  // origins (a head and the rank promoted after it, say) can hand the same
-  // worker the same channel tag. Each receive, persistent or transient, is
-  // posted for its exact origin: every round must land each origin's own
-  // bytes, even with both payloads already waiting on the worker when
-  // either Submit arrives.
-  for (const bool channels : {true, false}) {
-    SCOPED_TRACE(channels ? "persistent receives" : "transient receives");
-    ClusterOptions opts;
-    opts.num_workers = 2;
-    opts.persistent_channels = channels;
-    mpi::UniverseOptions uopts;
-    uopts.ranks = opts.ranks();
-    uopts.comms = 1 + opts.vci;
-    constexpr mpi::Rank kTarget = 2;
-    constexpr std::size_t kBytes = 4096;
-    constexpr int kRounds = 6;
-    std::atomic<mpi::Tag> tags[2] = {0, 0};
-    std::barrier both_sent(2);
-    std::atomic<bool> second_done{false};
-    mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
-      if (ctx.rank() == kTarget) {
-        WorkerMemory memory(&ctx.universe(), ctx.rank());
-        omp::TaskRuntime pool(1);
-        EventSystem es(ctx, opts, &memory, &pool);
-        es.wait_until_stopped();
-        EXPECT_EQ(memory.live(), 0u) << "worker leaked device memory";
-        return;
-      }
-      // Ranks 0 and 1 are both origins; each owns one block on the target.
-      const auto me = static_cast<std::size_t>(ctx.rank());
-      EventSystem es(ctx, opts, nullptr, nullptr);
-      tags[me] = es.allocate_tag();  // fresh counters: the same value
-      const auto dst = alloc_on(es, kTarget, kBytes);
-      for (int round = 0; round < kRounds; ++round) {
-        const auto fill =
-            static_cast<std::byte>(0x10 * (ctx.rank() + 1) + round);
-        Bytes payload(kBytes, fill);
-        ArchiveWriter sh;
-        sh.put(SubmitHeader{dst, kBytes, tags[me].load()});
-        es.send_data(kTarget, tags[me].load(),
-                     mpi::Payload::borrow(payload.data(), payload.size()));
-        both_sent.arrive_and_wait();
-        es.run(kTarget, EventKind::Submit, sh.take());
-        Bytes back(kBytes);
-        es.start_retrieve(kTarget, dst, back.data(), kBytes)->wait();
-        EXPECT_EQ(back, payload) << "origin " << ctx.rank() << " round "
-                                 << round << " landed foreign bytes";
-      }
-      delete_on(es, kTarget, dst);
-      if (ctx.rank() == 1) {
-        second_done = true;
-        es.wait_until_stopped();  // the head's shutdown stops this rank
-      } else {
-        ASSERT_TRUE(eventually([&] { return second_done.load(); }));
-        es.shutdown_cluster();
-      }
-    });
-    EXPECT_EQ(tags[0].load(), tags[1].load());
-  }
+TEST(EventSystem, TwoOriginsShareAnEventTagOnOneWorker) {
+  // Event tags come from each origin's own counter, so two origins (a head
+  // and the rank promoted after it, say) hand the same worker Submits with
+  // the same tag value. Each receive is posted for its exact origin: every
+  // round must land each origin's own bytes. Rank 0's large payload is
+  // still on the wire when its Submit announce arrives (control rides its
+  // own link), and rank 1's small payload, sent after it, lands first — so
+  // a receive that matched any source would take rank 1's bytes.
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  opts.network = {0, 2.5e6, 8};  // slow payloads, one link per comm
+  mpi::UniverseOptions uopts;
+  uopts.ranks = opts.ranks();
+  uopts.comms = 1 + opts.vci;
+  uopts.network = opts.network;
+  constexpr mpi::Rank kTarget = 2;
+  constexpr std::array<std::size_t, 2> kBytes = {64 * 1024, 64};
+  constexpr int kRounds = 4;
+  std::array<std::array<mpi::Tag, kRounds>, 2> tags{};
+  std::barrier rank0_sent(2);
+  std::atomic<bool> second_done{false};
+  mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
+    if (ctx.rank() == kTarget) {
+      WorkerMemory memory(&ctx.universe(), ctx.rank());
+      omp::TaskRuntime pool(1);
+      EventSystem es(ctx, opts, &memory, &pool);
+      es.wait_until_stopped();
+      EXPECT_EQ(memory.live(), 0u) << "worker leaked device memory";
+      return;
+    }
+    // Ranks 0 and 1 are both origins; each owns one block on the target
+    // and issues the same event sequence, so their fresh counters agree.
+    const auto me = static_cast<std::size_t>(ctx.rank());
+    const std::size_t n = kBytes[me];
+    EventSystem es(ctx, opts, nullptr, nullptr);
+    const auto dst = alloc_on(es, kTarget, n);
+    for (int round = 0; round < kRounds; ++round) {
+      const auto fill =
+          static_cast<std::byte>(0x10 * (ctx.rank() + 1) + round);
+      Bytes payload(n, fill);
+      ArchiveWriter sh;
+      sh.put(SubmitHeader{dst, n});
+      if (me == 1) rank0_sent.arrive_and_wait();
+      const OriginEventPtr submit = es.start(
+          kTarget, EventKind::Submit, sh.take(),
+          mpi::Payload::borrow(payload.data(), payload.size()));
+      if (me == 0) rank0_sent.arrive_and_wait();
+      tags[me][static_cast<std::size_t>(round)] = submit->tag();
+      submit->wait();
+      Bytes back(n);
+      es.start_retrieve(kTarget, dst, back.data(), n)->wait();
+      EXPECT_EQ(back, payload) << "origin " << ctx.rank() << " round "
+                               << round << " landed foreign bytes";
+    }
+    delete_on(es, kTarget, dst);
+    if (ctx.rank() == 1) {
+      second_done = true;
+      es.wait_until_stopped();  // the head's shutdown stops this rank
+    } else {
+      ASSERT_TRUE(eventually([&] { return second_done.load(); }));
+      es.shutdown_cluster();
+    }
+  });
+  EXPECT_EQ(tags[0], tags[1]);
 }
 
 TEST(EventSystem, ExecuteRunsRegisteredKernel) {
@@ -443,17 +435,14 @@ void put_repeatedly(EventSystem& es, mpi::Rank from, mpi::Rank to,
   delete_on(es, to, dst);
 }
 
-class EventSystemWakeups
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, bool>> {};
+class EventSystemWakeups : public ::testing::TestWithParam<std::int64_t> {};
 
 TEST_P(EventSystemWakeups, EachPendingPutParksAndResumesAtMostOnce) {
   // A put waiting for its ack is parked once and resumed once, by the ack
   // itself: the counts do not grow with the wire time, as a poll's would.
-  const auto [latency_ns, channels] = GetParam();
   constexpr int kPuts = 12;
   ClusterOptions opts;
-  opts.network = {latency_ns, 0.0, 1};
-  opts.persistent_channels = channels;
+  opts.network = {GetParam(), 0.0, 1};
   std::vector<HandlerCounts> counts;
   with_cluster(
       2,
@@ -472,9 +461,7 @@ TEST_P(EventSystemWakeups, EachPendingPutParksAndResumesAtMostOnce) {
 
 INSTANTIATE_TEST_SUITE_P(
     SlowLinks, EventSystemWakeups,
-    ::testing::Combine(::testing::Values(std::int64_t{1'000'000},
-                                         std::int64_t{4'000'000}),
-                       ::testing::Bool()));
+    ::testing::Values(std::int64_t{1'000'000}, std::int64_t{4'000'000}));
 
 TEST(EventSystemWakeups, ParkedRmaPutFailsWhenItsTargetDies) {
   // Worker 1 parks an RmaPut whose ack is ~200 ms of wire time away; its
@@ -518,47 +505,43 @@ TEST(EventSystemWakeups, TeardownBeforeALateCompletionIsANoOp) {
   // Worker 1 parks an RmaPut whose ack is ~200 ms of wire time away, then
   // destroys its event system. The ack completing the request afterwards
   // runs a hook whose queue is gone: it must do nothing (ASan checks).
-  for (const bool channels : {false, true}) {
-    SCOPED_TRACE(channels ? "persistent put" : "transient put");
-    ClusterOptions opts;
-    opts.num_workers = 2;
-    opts.persistent_channels = channels;
-    constexpr std::size_t kBytes = 512 * 1024;
-    mpi::UniverseOptions uopts;
-    uopts.ranks = opts.ranks();
-    uopts.comms = 1 + opts.vci;
-    uopts.network = {0, 2.5e6, 1};  // tiny control messages, slow payload
-    std::atomic<bool> parked{false}, acked{false};
-    mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
-      if (ctx.rank() == 0) {
-        EventSystem es(ctx, opts, nullptr, nullptr);
-        const auto src = alloc_on(es, 1, kBytes);
-        const auto dst = alloc_on(es, 2, kBytes);
-        auto put = es.start(1, EventKind::RmaPut,
-                            put_header(src, kBytes, 2, dst), {}, 2);
-        EXPECT_TRUE(eventually([&] { return acked.load(); }));
-        EXPECT_FALSE(put->done()) << "a released event never completes";
-        delete_on(es, 2, dst);
-        es.run(2, EventKind::Shutdown, {});
-      } else if (ctx.rank() == 1) {
-        WorkerMemory memory(&ctx.universe(), ctx.rank());
-        omp::TaskRuntime pool(1);
-        {
-          EventSystem es(ctx, opts, &memory, &pool);
-          parked = eventually([&] { return es.stats().parked.load() == 1; });
-        }  // self-stop: the parked put is released, the hook outlives us
-        // Outlive the ack (~210 ms of wire time after the put started).
-        std::this_thread::sleep_for(std::chrono::milliseconds(600));
-        acked = true;
-      } else {
-        WorkerMemory memory(&ctx.universe(), ctx.rank());
-        omp::TaskRuntime pool(1);
+  ClusterOptions opts;
+  opts.num_workers = 2;
+  constexpr std::size_t kBytes = 512 * 1024;
+  mpi::UniverseOptions uopts;
+  uopts.ranks = opts.ranks();
+  uopts.comms = 1 + opts.vci;
+  uopts.network = {0, 2.5e6, 1};  // tiny control messages, slow payload
+  std::atomic<bool> parked{false}, acked{false};
+  mpi::Universe::launch(uopts, [&](mpi::RankContext& ctx) {
+    if (ctx.rank() == 0) {
+      EventSystem es(ctx, opts, nullptr, nullptr);
+      const auto src = alloc_on(es, 1, kBytes);
+      const auto dst = alloc_on(es, 2, kBytes);
+      auto put = es.start(1, EventKind::RmaPut,
+                          put_header(src, kBytes, 2, dst), {}, 2);
+      EXPECT_TRUE(eventually([&] { return acked.load(); }));
+      EXPECT_FALSE(put->done()) << "a released event never completes";
+      delete_on(es, 2, dst);
+      es.run(2, EventKind::Shutdown, {});
+    } else if (ctx.rank() == 1) {
+      WorkerMemory memory(&ctx.universe(), ctx.rank());
+      omp::TaskRuntime pool(1);
+      {
         EventSystem es(ctx, opts, &memory, &pool);
-        es.wait_until_stopped();
-      }
-    });
-    EXPECT_TRUE(parked.load());
-  }
+        parked = eventually([&] { return es.stats().parked.load() == 1; });
+      }  // self-stop: the parked put is released, the hook outlives us
+      // Outlive the ack (~210 ms of wire time after the put started).
+      std::this_thread::sleep_for(std::chrono::milliseconds(600));
+      acked = true;
+    } else {
+      WorkerMemory memory(&ctx.universe(), ctx.rank());
+      omp::TaskRuntime pool(1);
+      EventSystem es(ctx, opts, &memory, &pool);
+      es.wait_until_stopped();
+    }
+  });
+  EXPECT_TRUE(parked.load());
 }
 
 TEST(EventSystemWakeups, ReleasedEventsAreCountedApart) {

@@ -1,6 +1,6 @@
 // ChannelPlan acceptance on the 3D halo-exchange workload (src/halo): a
-// steady-state iterative app must arm persistent channels and re-use its
-// device allocations, produce results bitwise-identical to the serial
+// steady-state iterative app must arm the plan and re-use its device
+// allocations, produce results bitwise-identical to the serial
 // oracle and the transient ablation, and survive every event that
 // invalidates the plan — worker death + rollback, head failover, and
 // runtime join/leave — without diverging. The _shm ctest rerun runs the

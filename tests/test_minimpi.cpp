@@ -583,108 +583,7 @@ TEST_P(MiniMpiConduit, ConduitNameMatchesSelection) {
   EXPECT_STREQ(u.conduit_name(), to_string(GetParam()));
 }
 
-// --- persistent (pre-posted) channels ------------------------------------
-
-TEST_P(MiniMpiConduit, PersistentChannelRearmsBitwiseIdentical) {
-  // One send_init/recv_init pair cycled many times: every cycle must
-  // deliver exactly the bytes of that cycle (no stale slot, no cross-cycle
-  // mixing) and the reuse counter must track completed cycles.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    constexpr int kCycles = 16;
-    constexpr std::size_t kWords = 32;
-    std::array<std::uint64_t, kWords> buf{};
-    if (ctx.rank() == 0) {
-      PersistentRequest send = comm.send_init(buf.data(), sizeof buf, 1, 21);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        for (std::size_t i = 0; i < kWords; ++i)
-          buf[i] = static_cast<std::uint64_t>(cyc) * 1000 + i;
-        send.start();
-        send.wait();  // transport staged the bytes: buffer reusable
-      }
-      EXPECT_EQ(send.cycles(), kCycles);
-    } else {
-      PersistentRequest recv = comm.recv_init(buf.data(), sizeof buf, 0, 21);
-      for (int cyc = 0; cyc < kCycles; ++cyc) {
-        recv.start();
-        const Status st = recv.wait();
-        EXPECT_EQ(st.source, 0);
-        EXPECT_EQ(st.tag, 21);
-        EXPECT_EQ(st.count, sizeof buf);
-        for (std::size_t i = 0; i < kWords; ++i)
-          EXPECT_EQ(buf[i], static_cast<std::uint64_t>(cyc) * 1000 + i);
-      }
-      EXPECT_EQ(recv.cycles(), kCycles);
-    }
-  });
-}
-
-TEST_P(MiniMpiConduit, PersistentMisuseIsALogicError) {
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      int v = 0;
-      // Fixed shape is the point of the channel: wildcards are rejected.
-      EXPECT_THROW(comm.recv_init(&v, sizeof v, kAnySource, 5), CheckError);
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 5);
-      EXPECT_THROW(recv.wait(), std::logic_error);  // wait before start
-      recv.start();
-      // Re-start while the armed cycle is genuinely in flight (the sender
-      // has not been signalled yet) is a missing wait().
-      EXPECT_THROW(recv.start(), std::logic_error);
-      comm.send(nullptr, 0, 0, 6);  // now ask for the payload
-      const Status st = recv.wait();
-      EXPECT_EQ(v, 77);
-      EXPECT_EQ(st.count, sizeof v);
-      EXPECT_EQ(recv.cycles(), 1);
-    } else {
-      comm.recv(nullptr, 0, 1, 6);
-      const int v = 77;
-      comm.send(&v, sizeof v, 1, 5);
-    }
-  });
-}
-
-TEST_P(MiniMpiConduit, KillWhilePersistentRecvArmedFailsTheCycle) {
-  // A rank death must fail an armed persistent receive like a cancelled
-  // receive — never leave a zombie pre-posted slot — and the channel stays
-  // dead (sticky) for subsequent start() calls.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      int v = 0;
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      recv.start();
-      ctx.universe().kill_rank(0, 0);
-      while (!ctx.universe().is_dead(0))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      try {
-        recv.wait();
-        FAIL() << "an armed receive from a corpse must not complete";
-      } catch (const RankKilledError& e) {
-        EXPECT_EQ(e.rank(), 0);
-      }
-      EXPECT_THROW(recv.start(), RankKilledError);  // sticky
-    }
-    // Rank 0's thread unwinds via its poisoned mailbox.
-  });
-}
-
-TEST_P(MiniMpiConduit, RecvInitFromDeadRankFailsOnStart) {
-  // Arming toward an already-dead peer fails the pending start() instead
-  // of parking a slot no send can ever match.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      ctx.universe().kill_rank(0, 0);
-      while (!ctx.universe().is_dead(0))
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      int v = 0;
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      EXPECT_THROW(recv.start(), RankKilledError);
-    }
-  });
-}
+// --- completion hooks ------------------------------------------------
 
 TEST_P(MiniMpiConduit, CompletionHookFiresOnceOnDelivery) {
   // The hook runs once, on the delivering thread, when the data lands; a
@@ -717,51 +616,27 @@ TEST_P(MiniMpiConduit, CompletionHookFiresOnceOnDelivery) {
 }
 
 TEST_P(MiniMpiConduit, CompletionHookFiresOnKill) {
-  // A kill is a completion too: the hook of an armed receive from a rank
+  // A kill is a completion too: the hook of a posted receive on a rank
   // that dies fires, so an event parked on it is never stranded.
   Universe::launch(opts(2), [](RankContext& ctx) {
     Comm comm = ctx.world();
     if (ctx.rank() == 1) {
       int v = 0;
       std::atomic<int> fired{0};
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      recv.start();
-      Request(recv.state()).on_complete([&] { fired.fetch_add(1); });
-      ctx.universe().kill_rank(0, 0);
-      EXPECT_THROW(recv.wait(), RankKilledError);
+      Request r = comm.irecv(&v, sizeof v, 0, 9);
+      r.on_complete([&] { fired.fetch_add(1); });
+      ctx.universe().kill_rank(1, 0);
+      EXPECT_THROW(r.wait(), RankKilledError);
       while (fired.load() == 0) std::this_thread::yield();
       EXPECT_EQ(fired.load(), 1);
     }
   });
 }
 
-TEST_P(MiniMpiConduit, PersistentStartClearsTheHook) {
-  // A hook belongs to one cycle: start() drops a hook left from before, so
-  // it cannot fire for a cycle its owner never waited on.
-  Universe::launch(opts(2), [](RankContext& ctx) {
-    Comm comm = ctx.world();
-    if (ctx.rank() == 1) {
-      int v = 0;
-      std::atomic<int> fired{0};
-      PersistentRequest recv = comm.recv_init(&v, sizeof v, 0, 9);
-      Request(recv.state()).on_complete([&] { fired.fetch_add(1); });
-      recv.start();
-      comm.send(nullptr, 0, 0, 5);
-      recv.wait();
-      EXPECT_EQ(v, 7);
-      EXPECT_EQ(fired.load(), 0);
-    } else {
-      comm.recv(nullptr, 0, 1, 5);
-      const int v = 7;
-      comm.send(&v, sizeof v, 1, 9);
-    }
-  });
-}
-
 TEST_P(MiniMpiConduit, RankExceptionKillsTheRankSoPeersFailFast) {
   // A rank thread that exits with an unexpected exception is poisoned like
-  // a kill: a peer arming a receive from it fails at once instead of
-  // waiting forever, and launch() rethrows the rank's own exception.
+  // a kill: a peer's put toward it fails at once instead of waiting
+  // forever, and launch() rethrows the rank's own exception.
   const Stopwatch sw;
   EXPECT_THROW(
       Universe::launch(opts(2),
@@ -774,10 +649,10 @@ TEST_P(MiniMpiConduit, RankExceptionKillsTheRankSoPeersFailFast) {
                            std::this_thread::sleep_for(
                                std::chrono::milliseconds(1));
                          ASSERT_TRUE(ctx.universe().is_dead(1));
-                         int v = 0;
-                         PersistentRequest recv =
-                             ctx.world().recv_init(&v, sizeof v, 1, 3);
-                         EXPECT_THROW(recv.start(), RankKilledError);
+                         const int v = 0;
+                         Request put = ctx.world().put(
+                             1, 3, 0, Payload::copy_of(&v, sizeof v));
+                         EXPECT_THROW(put.wait(), RankKilledError);
                        }),
       std::runtime_error);
   EXPECT_LT(sw.elapsed_s(), 10.0);
