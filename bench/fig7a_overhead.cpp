@@ -4,8 +4,9 @@
 // Paper setup: 1 head + 1 worker, 1 x 16 Trivial graph (16 independent
 // tasks on one node), workload from 1K iterations (~5 us dilated here) to
 // 100M (500 ms; dilated to 50 ms = 10M iterations equivalent at our 1/10
-// dilation). Startup = process begin to gate-thread creation; shutdown =
-// gate destruction to process end; schedule = HEFT time.
+// dilation). Startup = head boot (event system listening, runtime and
+// failure detection up); shutdown = cluster shutdown to universe joined;
+// schedule = HEFT time.
 //
 // Expected shape: startup+shutdown constant, so overhead % falls as tasks
 // grow; < 25% by ~10 ms tasks; negligible >= 50 ms; dominant below 5 ms.

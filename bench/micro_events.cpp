@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/event_system.hpp"
 #include "core/runtime.hpp"
 
@@ -115,8 +116,8 @@ BENCHMARK(BM_EventSubmitRetrieve)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ExecuteEventNopKernel(benchmark::State& state) {
-  with_cluster(1, {}, [&](EventSystem& es, std::vector<EventSystem*>&) {
+void execute_nop_round_trips(benchmark::State& state, mpi::NetworkModel net) {
+  with_cluster(1, net, [&](EventSystem& es, std::vector<EventSystem*>&) {
     ExecuteHeader h;
     h.kernel = kNop;
     const Bytes header = h.serialize();
@@ -125,7 +126,21 @@ void BM_ExecuteEventNopKernel(benchmark::State& state) {
   });
   state.SetItemsProcessed(state.iterations());
 }
+
+void BM_ExecuteEventNopKernel(benchmark::State& state) {
+  execute_nop_round_trips(state, {});
+}
 BENCHMARK(BM_ExecuteEventNopKernel)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_ExecuteEventNopKernelFigureNet(benchmark::State& state) {
+  // The same round trip over the figure benches' wire (bench_network(): 20 us,
+  // 100 MB/s, 8 VCIs): two wire hops (announce, completion) are 40 us, and
+  // the rest is the event layer on a paced network.
+  execute_nop_round_trips(state, bench::bench_network());
+}
+BENCHMARK(BM_ExecuteEventNopKernelFigureNet)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

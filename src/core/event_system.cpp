@@ -196,23 +196,25 @@ EventSystem::EventSystem(mpi::RankContext& ctx, const ClusterOptions& opts,
       handler_main();
     });
   }
-  gate_ = std::thread([this] {
-    log::set_thread_label("r" + std::to_string(rank_) + "/gate");
-    gate_main();
-  });
+  // Last: notifications that arrived before this point are handed over
+  // now, in arrival order, and every later one runs where it is delivered.
+  control_.listen([this](mpi::Envelope&& env) { on_control(std::move(env)); },
+                  [this] {
+                    // This rank was killed: fail every outstanding origin
+                    // event (their completions can never arrive through a
+                    // poisoned mailbox) and release the rank's main thread
+                    // so the universe can join it.
+                    fail_local();
+                    stop_local();
+                  });
 }
 
 EventSystem::~EventSystem() {
-  // Normal paths stop via shutdown_cluster() / the Shutdown event. If the
-  // owner destroys us without that (error unwind), stop locally so threads
-  // join; the gate may be blocked on probe, so poke it with a self-message.
-  if (!stopped()) {
-    EventAnnounce bye;
-    bye.kind = EventKind::Shutdown;
-    bye.origin = rank_;
-    control_.isend_bytes(bye.serialize(), rank_, kTagNewEvent);
-  }
-  gate_.join();
+  // Normal paths stop via shutdown_cluster() / the Shutdown event; an owner
+  // unwinding on an error stops here. unlisten() then waits out any
+  // notification still being handled on a delivery thread.
+  if (!stopped()) stop_local();
+  control_.unlisten();
   for (auto& h : handlers_) h.join();
 }
 
@@ -385,7 +387,7 @@ void EventSystem::quiesce() {
 
 void EventSystem::shutdown_cluster() {
   // Stop each live worker (acknowledged via the normal completion path),
-  // then unblock the local gate with a self-shutdown.
+  // then the local event system.
   std::vector<OriginEventPtr> acks;
   const int n = control_.size();
   for (mpi::Rank w = 0; w < n; ++w) {
@@ -404,12 +406,7 @@ void EventSystem::shutdown_cluster() {
     }
   }
 
-  EventAnnounce bye;
-  bye.kind = EventKind::Shutdown;
-  bye.origin = rank_;
-  bye.tag = 0;
-  control_.isend_bytes(bye.serialize(), rank_, kTagNewEvent);
-  wait_until_stopped();
+  stop_local();
 }
 
 void EventSystem::wait_until_stopped() {
@@ -481,64 +478,51 @@ bool EventSystem::EventQueue::wake_idle_locked() {
   return !woken.empty();
 }
 
-void EventSystem::gate_main() {
-  try {
-    for (;;) {
-      const mpi::Status st = control_.probe(mpi::kAnySource, mpi::kAnyTag);
-      const Bytes msg = control_.recv_bytes(st.source, st.tag);
-      if (st.tag == kTagNewEvent) {
-        EventAnnounce a = EventAnnounce::deserialize(msg);
-        if (a.kind == EventKind::Shutdown) {
-          // Ack remote shutdowns so the head's wait completes; a tag of 0
-          // marks the local self-poke, which needs no ack.
-          if (a.origin != rank_ || a.tag != 0) {
-            send_completion(a.origin, a.tag, {});
-          }
-          stop_local();
-          return;
-        }
-        if (a.kind == EventKind::RankDead) {
-          ArchiveReader r(a.header);
-          const auto h = r.get<RankDeadHeader>();
-          // Kept for a later promotion to head. Parked events need no wake:
-          // the kill already completed every request that waits on the
-          // corpse, and its hook resumed them.
-          std::lock_guard<std::mutex> lock(origin_mutex_);
-          dead_ranks_.insert(h.rank);
-          continue;
-        }
-        RemoteEvent ev;
-        ev.announce = std::move(a);
-        enqueue_remote(std::move(ev));
-      } else if (st.tag == kTagComplete) {
-        EventCompletion c = EventCompletion::deserialize(msg);
-        OriginEventPtr ev;
-        {
-          std::lock_guard<std::mutex> lock(origin_mutex_);
-          auto it = origin_events_.find(c.tag);
-          if (it == origin_events_.end()) {
-            // A completion can outlive its event: fail_rank() already
-            // failed it (a worker still acks an RmaPut whose peer died).
-            // Late completions are dropped, not protocol errors.
-            OMPC_LOG_WARN("dropping late completion for event tag " << c.tag);
-            continue;
-          }
-          ev = std::move(it->second);
-          origin_events_.erase(it);
-        }
-        origin_cv_.notify_all();
-        ev->complete(std::move(c.result));
-      } else {
-        OMPC_CHECK_MSG(false, "unexpected control tag " << st.tag);
-      }
+void EventSystem::on_control(mpi::Envelope&& env) {
+  const std::span<const std::byte> msg = env.payload.view();
+  if (env.tag == kTagNewEvent) {
+    EventAnnounce a = EventAnnounce::deserialize(msg);
+    if (a.kind == EventKind::Shutdown) {
+      // Ack remote shutdowns so the head's wait completes.
+      send_completion(a.origin, a.tag, {});
+      stop_local();
+      return;
     }
-  } catch (const mpi::RankKilledError&) {
-    // This rank was killed by fault injection: fail every outstanding
-    // origin event (their completions can never arrive through a poisoned
-    // mailbox), then unwind the gate and release the rank's main thread so
-    // the universe can join it.
-    fail_local();
-    stop_local();
+    if (a.kind == EventKind::RankDead) {
+      ArchiveReader r(a.header);
+      const auto h = r.get<RankDeadHeader>();
+      // Kept for a later promotion to head. Parked events need no wake:
+      // the kill already completed every request that waits on the corpse,
+      // and its hook resumed them.
+      std::lock_guard<std::mutex> lock(origin_mutex_);
+      dead_ranks_.insert(h.rank);
+      return;
+    }
+    // A stopped rank takes no new work (its handlers are draining out).
+    if (stopped()) return;
+    RemoteEvent ev;
+    ev.announce = std::move(a);
+    enqueue_remote(std::move(ev));
+  } else if (env.tag == kTagComplete) {
+    EventCompletion c = EventCompletion::deserialize(msg);
+    OriginEventPtr ev;
+    {
+      std::lock_guard<std::mutex> lock(origin_mutex_);
+      auto it = origin_events_.find(c.tag);
+      if (it == origin_events_.end()) {
+        // A completion can outlive its event: fail_rank() already failed
+        // it (a worker still acks an RmaPut whose peer died). Late
+        // completions are dropped, not protocol errors.
+        OMPC_LOG_WARN("dropping late completion for event tag " << c.tag);
+        return;
+      }
+      ev = std::move(it->second);
+      origin_events_.erase(it);
+    }
+    origin_cv_.notify_all();
+    ev->complete(std::move(c.result));
+  } else {
+    OMPC_CHECK_MSG(false, "unexpected control tag " << env.tag);
   }
 }
 
@@ -809,7 +793,8 @@ bool EventSystem::progress(RemoteEvent& ev) {
     }
     case EventKind::Shutdown:
     case EventKind::RankDead:
-      OMPC_CHECK_MSG(false, to_string(a.kind) << " must be handled by the gate");
+      OMPC_CHECK_MSG(false, to_string(a.kind)
+                                << " is handled where it is delivered");
   }
   return true;
 }

@@ -1,9 +1,12 @@
 // The MPI-based distributed event system (paper §4.2, Figure 3).
 //
 // Per rank:
-//  - a *gate thread* owns the control communicator: it receives new-event
-//    notifications (enqueuing the destination half of each event) and
-//    completion notifications (waking the origin waiter);
+//  - the control communicator is *listened* (minimpi's active-message
+//    delivery): a new-event notification is handled on the thread that
+//    delivers it, which enqueues the destination half of the event, and a
+//    completion notification completes the origin waiter right there. No
+//    thread blocks in probe/recv for control traffic, so a round trip is
+//    two thread hand-offs: origin -> handler -> origin;
 //  - a pool of *event handlers* executes queued events as state machines.
 //    An event whose I/O is still pending is parked: it goes back on the
 //    handler queue only when something it waits on changes — its request
@@ -285,7 +288,10 @@ class EventSystem {
     bool wake_idle_locked();
   };
 
-  void gate_main();
+  /// Control-communicator listener, run on the delivering thread: enqueues
+  /// announced events, completes origin events, and handles Shutdown and
+  /// RankDead itself. Must not block.
+  void on_control(mpi::Envelope&& env);
 
   /// Handler loop: pops a ready event and advances it with progress(). An
   /// event left with pending I/O is parked by settle() and returns to the
@@ -300,9 +306,10 @@ class EventSystem {
   /// `seen_exits` requeues it at once instead; stopped, it is released.
   void settle(RemoteEvent* pending, std::uint64_t seen_exits);
 
-  /// This rank died (gate caught RankKilledError): declare self dead and
-  /// fail every outstanding origin event, so origin waiters unblock —
-  /// their completions can never arrive once the mailbox is poisoned.
+  /// This rank died (the control listener's poison handler): declare self
+  /// dead and fail every outstanding origin event, so origin waiters
+  /// unblock — their completions can never arrive once the mailbox is
+  /// poisoned.
   void fail_local();
 
   /// Advances the event; true when finished (completion already sent).
@@ -345,7 +352,6 @@ class EventSystem {
   EventSystemStats stats_;
 
   std::vector<std::thread> handlers_;
-  std::thread gate_;  // declared last: starts after, joined first
 };
 
 }  // namespace ompc::core

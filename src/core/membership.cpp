@@ -302,6 +302,16 @@ void MembershipAgent::finish_election() {
 }
 
 void MembershipAgent::agent_main() {
+  try {
+    agent_loop();
+  } catch (const mpi::RankKilledError&) {
+    // This rank was killed under the agent (a receive in drain() found the
+    // mailbox poisoned). The agent dies with the rank, as the heartbeat
+    // ring does: the survivors' election and detectors take it from here.
+  }
+}
+
+void MembershipAgent::agent_loop() {
   const std::int64_t poll_ns =
       std::max<std::int64_t>(1, opts_.hb.period_ms / 2) * 1'000'000;
   while (!stop_.load(std::memory_order_acquire)) {

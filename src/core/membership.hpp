@@ -156,7 +156,9 @@ class MembershipAgent {
   HeartbeatRing& ring() { return *ring_; }
 
  private:
+  /// Thread body: agent_loop() until stop, or until this rank is killed.
   void agent_main();
+  void agent_loop();
   void drain();
   void on_ring_failure(mpi::Rank dead);
   void begin_election();

@@ -1633,7 +1633,7 @@ RuntimeStats launch(const ClusterOptions& opts,
       // and nobody could be promoted (replica lost with it, or replication
       // off), there is no live control plane left to deliver Shutdown —
       // model the job scheduler reclaiming the allocation instead: poison
-      // the survivors, which unwinds their gate threads like any kill.
+      // the survivors, which stops their event systems like any kill.
       if (!ctx.universe().is_dead(rt.head_rank())) {
         rt.events().shutdown_cluster();
       } else {

@@ -42,7 +42,8 @@ namespace ompc::core {
 /// Timing/counter summary of one cluster run, the measurements Fig. 7(a)
 /// reports (startup / schedule / shutdown vs total wall time).
 struct RuntimeStats {
-  std::int64_t startup_ns = 0;   ///< process begin -> gate threads live
+  std::int64_t startup_ns = 0;   ///< head boot: event system listening,
+                                 ///< runtime and failure detection up
   std::int64_t schedule_ns = 0;  ///< total HEFT time across waves
   std::int64_t shutdown_ns = 0;  ///< shutdown begin -> universe joined
   std::int64_t wall_ns = 0;      ///< whole launch()

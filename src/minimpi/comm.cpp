@@ -100,6 +100,14 @@ void Comm::cancel(const Request& req) const {
   universe_->mailbox(rank_).cancel(req.state());
 }
 
+void Comm::listen(std::function<void(Envelope&&)> on_message,
+                  std::function<void()> on_poison) const {
+  universe_->mailbox(rank_).listen(context_, std::move(on_message),
+                                   std::move(on_poison));
+}
+
+void Comm::unlisten() const { universe_->mailbox(rank_).unlisten(); }
+
 // --- one-sided (RMA) ---------------------------------------------------
 
 Window Comm::win_create(WindowId id, void* base, std::size_t size) const {

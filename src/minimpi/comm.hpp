@@ -8,11 +8,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 
 #include "common/serialize.hpp"
+#include "minimpi/message.hpp"
 #include "minimpi/payload.hpp"
 #include "minimpi/request.hpp"
 #include "minimpi/types.hpp"
@@ -70,6 +72,14 @@ class Comm {
   /// Cancels a posted receive of THIS rank (no-op once matched); see
   /// Mailbox::cancel.
   void cancel(const Request& req) const;
+
+  /// Active-message delivery of this communicator's traffic to THIS rank:
+  /// each message runs `on_message` on the thread that delivers it instead
+  /// of waiting for a receive; see Mailbox::listen for the contract.
+  void listen(std::function<void(Envelope&&)> on_message,
+              std::function<void()> on_poison) const;
+  /// Ends listen(), waiting out handler calls in flight (Mailbox::unlisten).
+  void unlisten() const;
 
   // --- one-sided (RMA) -------------------------------------------------
   //

@@ -1,5 +1,6 @@
 #include "minimpi/mailbox.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.hpp"
@@ -30,22 +31,39 @@ void fill(detail::RequestState& slot, const Envelope& env) {
 
 void Mailbox::deliver(Envelope&& env) {
   std::shared_ptr<detail::RequestState> matched;
+  const Listener* listener = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (poisoned_) return;  // a dead rank never receives anything
-    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      if (matches(env, (*it)->source, (*it)->tag, (*it)->context)) {
-        matched = *it;
-        posted_.erase(it);
-        break;
+    if (listener_ != nullptr && env.context == listener_->context) {
+      if (draining_) {
+        // listen() is still handing over earlier arrivals; its loop takes
+        // this one after them.
+        unexpected_.push_back(std::move(env));
+        return;
       }
+      listener = listener_.get();
+      ++calls_;  // unlisten() keeps the listener alive until this returns
+    } else {
+      for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+        if (matches(env, (*it)->source, (*it)->tag, (*it)->context)) {
+          matched = *it;
+          posted_.erase(it);
+          break;
+        }
+      }
+      if (!matched) {
+        unexpected_.push_back(std::move(env));
+        arrival_cv_.notify_all();
+        return;
+      }
+      fill(*matched, env);
     }
-    if (!matched) {
-      unexpected_.push_back(std::move(env));
-      arrival_cv_.notify_all();
-      return;
-    }
-    fill(*matched, env);
+  }
+  if (listener != nullptr) {
+    listener->on_message(std::move(env));
+    end_call();
+    return;
   }
   // Completion takes the request's own lock; done outside the mailbox lock
   // is unnecessary (ordering is mailbox -> request everywhere) but keeps the
@@ -64,7 +82,14 @@ Request Mailbox::post_recv(void* buf, std::size_t capacity, Rank src, Tag tag,
 
   std::optional<Envelope> hit;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (trap_ && trap_->context == context && trap_->tag == tag) {
+      const std::function<void()> die = std::move(trap_->die);
+      trap_.reset();
+      lock.unlock();
+      die();  // poisons this mailbox: the check below throws
+      lock.lock();
+    }
     if (poisoned_) throw RankKilledError(rank_);
     for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
       if (matches(*it, src, tag, context)) {
@@ -120,6 +145,7 @@ void Mailbox::cancel(const std::shared_ptr<detail::RequestState>& state) {
 
 void Mailbox::poison(Rank rank) {
   std::list<std::shared_ptr<detail::RequestState>> orphans;
+  const Listener* listener = nullptr;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (poisoned_) return;
@@ -127,10 +153,72 @@ void Mailbox::poison(Rank rank) {
     rank_ = rank;
     unexpected_.clear();
     orphans.swap(posted_);
+    if (listener_ != nullptr) {
+      listener = listener_.get();
+      ++calls_;
+    }
   }
   // Outside the mailbox lock (completion takes each request's own lock).
   for (auto& slot : orphans) slot->kill(rank);
   arrival_cv_.notify_all();  // blocked probes re-check poisoned_ and throw
+  if (listener != nullptr) {
+    if (listener->on_poison) listener->on_poison();
+    end_call();
+  }
+}
+
+void Mailbox::listen(ContextId context, MessageFn on_message,
+                     std::function<void()> on_poison) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  OMPC_CHECK_MSG(listener_ == nullptr, "mailbox already has a listener");
+  listener_ = std::make_unique<const Listener>(
+      Listener{context, std::move(on_message), std::move(on_poison)});
+  const Listener* listener = listener_.get();
+  ++calls_;
+  if (poisoned_) {
+    lock.unlock();
+    if (listener->on_poison) listener->on_poison();
+    end_call();
+    return;
+  }
+  // Hand over the early arrivals one at a time, unlocked; deliveries in the
+  // meantime append to unexpected_ (draining_), so arrival order holds.
+  draining_ = true;
+  while (listener_.get() == listener) {  // an unlisten() ends the hand-over
+    const auto it = std::find_if(
+        unexpected_.begin(), unexpected_.end(),
+        [context](const Envelope& env) { return env.context == context; });
+    if (it == unexpected_.end()) break;
+    Envelope env = std::move(*it);
+    unexpected_.erase(it);
+    lock.unlock();
+    listener->on_message(std::move(env));
+    lock.lock();
+  }
+  draining_ = false;
+  lock.unlock();
+  end_call();
+}
+
+void Mailbox::unlisten() {
+  std::unique_ptr<const Listener> gone;  // destroyed once no call uses it
+  std::unique_lock<std::mutex> lock(mutex_);
+  gone = std::move(listener_);
+  calls_cv_.wait(lock, [this] { return calls_ == 0; });
+}
+
+void Mailbox::end_call() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--calls_ != 0) return;
+  }
+  calls_cv_.notify_all();
+}
+
+void Mailbox::die_at_recv(ContextId context, Tag tag,
+                          std::function<void()> die) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  trap_ = Trap{context, tag, std::move(die)};
 }
 
 bool Mailbox::poisoned() const {

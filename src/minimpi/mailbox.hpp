@@ -6,9 +6,16 @@
 // and scanned in arrival order, which preserves the non-overtaking
 // guarantee (messages on one communicator between a rank pair are matched
 // in the order they were delivered).
+//
+// One context per rank may instead be *listened* (GASNet's active-message
+// model): its messages bypass matching and run a handler on the thread that
+// delivers them — the delivery engine, the shm drain, or the sender itself
+// for self-sends and instant networks — so control traffic needs no thread
+// blocked in probe/recv to pick it up.
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <list>
 #include <memory>
 #include <optional>
@@ -56,7 +63,44 @@ class Mailbox {
 
   bool poisoned() const;
 
+  /// Fault injection at a protocol point: `die` runs once, on the thread
+  /// that next posts a receive for `tag` on `context`, before that receive
+  /// matches. `die` is expected to kill the rank (poison this mailbox), so
+  /// the receive throws RankKilledError exactly where the protocol stood.
+  void die_at_recv(ContextId context, Tag tag, std::function<void()> die);
+
+  // --- active-message delivery --------------------------------------------
+
+  using MessageFn = std::function<void(Envelope&&)>;
+
+  /// Routes every message on `context` to `on_message`, run on the
+  /// delivering thread with no mailbox lock held; calls may overlap when
+  /// several threads deliver at once. Messages of that context that arrived
+  /// earlier are handed over first, in arrival order, on the calling thread
+  /// (anything delivered meanwhile queues behind them). `on_poison` runs
+  /// once when the rank is killed — at once if it already was — and later
+  /// messages are dropped like every delivery to a dead rank. Both handlers
+  /// must not block: they run on delivery threads. One listener per
+  /// mailbox.
+  void listen(ContextId context, MessageFn on_message,
+              std::function<void()> on_poison);
+
+  /// Stops listening: later messages on the context are matched again.
+  /// Blocks until every handler call already in flight has returned, so
+  /// their captures may be destroyed afterwards. Never call it from inside
+  /// a handler.
+  void unlisten();
+
  private:
+  struct Listener {
+    ContextId context = 0;
+    MessageFn on_message;
+    std::function<void()> on_poison;
+  };
+
+  /// Marks one handler call finished; wakes unlisten() at zero.
+  void end_call();
+
   static bool matches(const Envelope& env, Rank src, Tag tag,
                       ContextId context) noexcept {
     return env.context == context &&
@@ -70,6 +114,20 @@ class Mailbox {
   std::list<std::shared_ptr<detail::RequestState>> posted_;
   bool poisoned_ = false;
   Rank rank_ = -1;  ///< set by poison(), for the error message only
+
+  struct Trap {
+    ContextId context = 0;
+    Tag tag = 0;
+    std::function<void()> die;
+  };
+  std::optional<Trap> trap_;  ///< die_at_recv, until it fires
+
+  std::unique_ptr<const Listener> listener_;  ///< null: nothing listened
+  /// listen() is still handing over early arrivals: new messages of the
+  /// listened context queue behind them in unexpected_.
+  bool draining_ = false;
+  int calls_ = 0;  ///< handler calls in flight
+  std::condition_variable calls_cv_;  ///< signalled when calls_ drops to 0
 };
 
 }  // namespace ompc::mpi

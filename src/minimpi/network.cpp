@@ -1,14 +1,25 @@
 #include "minimpi/network.hpp"
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include "common/log.hpp"
 
 namespace ompc::mpi {
+
+void use_exact_timer_slack() noexcept {
+#if defined(__linux__)
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
+}
 
 DeliveryEngine::DeliveryEngine(NetworkModel model,
                                std::function<void(Envelope&&)> deliver)
     : pacer_(model), deliver_(std::move(deliver)) {
   thread_ = std::thread([this] {
     log::set_thread_label("net");
+    use_exact_timer_slack();
     engine_main();
   });
 }
@@ -24,10 +35,16 @@ DeliveryEngine::~DeliveryEngine() {
 
 void DeliveryEngine::submit(Envelope&& env) {
   const TimePoint due = pacer_.due_for(env);
-  std::lock_guard<std::mutex> lock(mutex_);
-  queue_.push(Pending{due, next_seq_++, std::move(env)});
-  ++submitted_;
-  cv_.notify_one();
+  bool earliest = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // The engine sleeps until the current head's deadline; only a message
+    // due before it (or into an empty queue) moves that wakeup.
+    earliest = queue_.empty() || due < queue_.top().due;
+    queue_.push(Pending{due, next_seq_++, std::move(env)});
+    ++submitted_;
+  }
+  if (earliest) cv_.notify_one();
 }
 
 std::int64_t DeliveryEngine::submitted() const noexcept {
@@ -45,7 +62,7 @@ void DeliveryEngine::engine_main() {
     }
     const TimePoint due = queue_.top().due;
     if (Clock::now() < due) {
-      // Woken early either by a new (possibly earlier) message or by stop.
+      // Woken early either by a new earlier message or by stop.
       cv_.wait_until(lock, due);
       if (stop_ && queue_.empty()) return;
       continue;

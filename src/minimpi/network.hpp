@@ -63,6 +63,12 @@ struct NetworkModel {
   }
 };
 
+/// Makes the calling thread's timed waits end at their deadline. Linux
+/// pads each timer of a thread by that thread's timer slack (50 µs by
+/// default), which a pacing thread would add to every simulated wire hop.
+/// A per-thread attribute of this process; a no-op off Linux.
+void use_exact_timer_slack() noexcept;
+
 /// Computes simulated delivery deadlines: a message occupies its
 /// (src, dst, channel) link from max(now, link free) for its full transfer
 /// time, which is what makes message storms actually cost time. Shared by

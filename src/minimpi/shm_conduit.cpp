@@ -92,6 +92,7 @@ class ShmConduit final : public Conduit {
         std::make_unique<std::mutex[]>(static_cast<std::size_t>(ranks_ * ranks_));
     drain_ = std::thread([this] {
       log::set_thread_label("shm");
+      use_exact_timer_slack();  // paces deadlines like the delivery engine
       drain_main();
     });
     drain_id_ = drain_.get_id();

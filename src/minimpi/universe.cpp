@@ -65,6 +65,13 @@ void Universe::kill_rank(Rank r, std::int64_t at_ns) {
   kill_cv_.notify_all();
 }
 
+void Universe::kill_at_recv(Rank r, ContextId context, Tag tag) {
+  OMPC_CHECK(r >= 0 && r < opts_.ranks);
+  mailbox(r).die_at_recv(context, tag, [this, r] {
+    execute_kill(r, "fault injection at a receive");
+  });
+}
+
 void Universe::reaper_main() {
   std::unique_lock<std::mutex> lock(kill_mutex_);
   for (;;) {

@@ -100,6 +100,12 @@ class Universe {
   /// silently drops all its future traffic.
   void kill_rank(Rank r, std::int64_t at_ns);
 
+  /// Fault injection at a protocol point rather than a wall-clock offset:
+  /// rank `r` dies (as kill_rank) the moment one of its threads posts a
+  /// receive for `tag` on communicator context `context` — that receive
+  /// then throws RankKilledError. One trap per rank; it fires once.
+  void kill_at_recv(Rank r, ContextId context, Tag tag);
+
   /// Whether `r` has been killed by fault injection.
   bool is_dead(Rank r) const {
     return dead_[static_cast<std::size_t>(r)].load(std::memory_order_acquire);

@@ -9,9 +9,13 @@
 // same suite over the shared-memory conduit.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
+#include "common/serialize.hpp"
+#include "common/time.hpp"
+#include "core/membership.hpp"
 #include "core/runtime.hpp"
 #include "minimpi/mpi.hpp"
 #include "offload/kernel_registry.hpp"
@@ -72,6 +76,63 @@ TaskBenchSpec failover_spec(Pattern p) {
   s.output_bytes = 32;
   s.mode = KernelMode::Sleep;
   return s;
+}
+
+// --- the election's own protocol points ---------------------------------
+
+/// A replica payload with empty metadata and no waves: enough to make a
+/// rank a candidate of generation `gen`.
+void give_generation(core::ReplicaStore& replica, std::uint64_t gen) {
+  ArchiveWriter w;
+  w.put_blob({});
+  w.put<std::uint64_t>(0);
+  replica.apply(core::ReplicaStore::Update::Append, gen, w.take());
+}
+
+TEST(MembershipAgentFaults, RankKilledAtItsCandidacyReceiveStopsQuietly) {
+  // The head dies, and worker 3 dies at the receive of the first candidacy
+  // its agent drains — a protocol point, not a wall-clock offset. The kill
+  // makes that receive throw RankKilledError on the agent thread, which
+  // must end the agent quietly (escaping the thread was std::terminate)
+  // while ranks 1 and 2 elect rank 2, the fresher replica.
+  mpi::UniverseOptions uo;
+  uo.ranks = 4;
+  mpi::Universe u(uo);
+  u.kill_at_recv(3, /*context=*/0, core::kElectionTag);
+  core::MembershipBus bus;
+  core::HeartbeatRing::Options hb;
+  hb.period_ms = 5;
+  hb.timeout_ms = 60;
+  const std::int64_t deadline_ms = 10'000 * kTimeScale;
+
+  std::atomic<mpi::Rank> elected{-1};
+  u.run([&](mpi::RankContext& ctx) {
+    const mpi::Rank me = ctx.rank();
+    if (me == 0) {
+      core::HeartbeatRing ring(ctx.world(), hb, nullptr);
+      u.kill_rank(0, 0);
+      const auto head = bus.await_new_head(0, deadline_ms);
+      elected.store(head.value_or(-1));
+      ring.stop();
+      return;
+    }
+    core::ReplicaStore replica;
+    if (me != 3) give_generation(replica, static_cast<std::uint64_t>(me));
+    core::MembershipAgent::Options ao;
+    ao.hb = hb;
+    // Wide enough that both candidacies are in before either vote counts.
+    ao.election_window_ms = 250 * kTimeScale;
+    core::MembershipAgent agent(ctx.world(), ao, &bus, &replica);
+    EXPECT_TRUE(bus.await_new_head(0, deadline_ms).has_value());
+    if (me == 3) {
+      const Stopwatch wait;
+      while (!u.is_dead(3) && wait.elapsed_ms() < deadline_ms)
+        precise_sleep_ns(1'000'000);
+      EXPECT_TRUE(u.is_dead(3));
+    }
+    agent.stop();
+  });
+  EXPECT_EQ(elected.load(), 2);
 }
 
 // --- the head dies: elected successor resumes, results identical ----------

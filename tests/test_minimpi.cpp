@@ -3,12 +3,17 @@
 // link-serialization behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/time.hpp"
 #include "minimpi/mpi.hpp"
@@ -658,12 +663,238 @@ TEST_P(MiniMpiConduit, RankExceptionKillsTheRankSoPeersFailFast) {
   EXPECT_LT(sw.elapsed_s(), 10.0);
 }
 
+// --- active-message listeners ---------------------------------------
+
+/// Collects what a listener receives, for the main thread to wait on.
+struct Inbox {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<int> values;
+  std::vector<std::thread::id> threads;
+
+  void push(const Envelope& env) {
+    int v = 0;
+    std::memcpy(&v, env.payload.data(), sizeof v);
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      values.push_back(v);
+      threads.push_back(std::this_thread::get_id());
+    }
+    cv.notify_all();
+  }
+
+  void wait_for_count(std::size_t n) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return values.size() >= n; });
+  }
+};
+
+TEST_P(MiniMpiConduit, ListenerDrainsEarlyArrivalsInArrivalOrder) {
+  // Messages that arrived before listen() are handed over at once, in
+  // arrival order, on the registering thread; later ones follow on the
+  // delivering thread.
+  constexpr int kEarly = 50;
+  Universe::launch(opts(2, 2), [&](RankContext& ctx) {
+    const Comm world = ctx.world();
+    const Comm am = ctx.comm(1);
+    if (ctx.rank() == 0) {
+      for (int i = 0; i < kEarly; ++i) am.send(&i, sizeof i, 1, i % 3);
+      world.send(nullptr, 0, 1, 1);  // fence: same link, behind the batch
+      world.recv(nullptr, 0, 1, 2);  // rank 1 listens now
+      const int late = kEarly;
+      am.send(&late, sizeof late, 1, 0);
+    } else {
+      world.recv(nullptr, 0, 0, 1);
+      Inbox inbox;
+      am.listen([&](Envelope&& env) { inbox.push(env); }, [] {});
+      {
+        std::lock_guard<std::mutex> lock(inbox.mutex);
+        ASSERT_EQ(inbox.values.size(), static_cast<std::size_t>(kEarly));
+        for (int i = 0; i < kEarly; ++i) {
+          EXPECT_EQ(inbox.values[static_cast<std::size_t>(i)], i);
+          EXPECT_EQ(inbox.threads[static_cast<std::size_t>(i)],
+                    std::this_thread::get_id());
+        }
+      }
+      EXPECT_FALSE(am.iprobe(kAnySource, kAnyTag).has_value());
+      world.send(nullptr, 0, 0, 2);
+      inbox.wait_for_count(kEarly + 1);
+      am.unlisten();
+      EXPECT_EQ(inbox.values.back(), kEarly);
+    }
+  });
+}
+
+TEST_P(MiniMpiConduit, ListenerLeavesOtherContextsToRecvAndProbe) {
+  Universe::launch(opts(2, 2), [](RankContext& ctx) {
+    const Comm world = ctx.world();
+    const Comm am = ctx.comm(1);
+    if (ctx.rank() == 0) {
+      world.recv(nullptr, 0, 1, 3);  // rank 1 listens now
+      const int plain = 7;
+      const int active = 8;
+      world.send(&plain, sizeof plain, 1, 5);
+      am.send(&active, sizeof active, 1, 5);
+    } else {
+      Inbox inbox;
+      am.listen([&](Envelope&& env) { inbox.push(env); }, [] {});
+      world.send(nullptr, 0, 0, 3);
+      const Status st = world.probe(0, 5);
+      EXPECT_EQ(st.count, sizeof(int));
+      int v = 0;
+      world.recv(&v, sizeof v, 0, 5);
+      EXPECT_EQ(v, 7);
+      inbox.wait_for_count(1);
+      am.unlisten();
+      EXPECT_EQ(inbox.values, std::vector<int>{8});
+    }
+  });
+}
+
+TEST_P(MiniMpiConduit, ListenerPoisonHandlerRunsOnceOnKill) {
+  Universe::launch(opts(2, 2), [](RankContext& ctx) {
+    if (ctx.rank() != 1) return;
+    const Comm am = ctx.comm(1);
+    std::atomic<int> poisoned{0};
+    am.listen([](Envelope&&) {}, [&] { poisoned.fetch_add(1); });
+    ctx.universe().kill_rank(1, 0);
+    while (poisoned.load() == 0) std::this_thread::yield();
+    ctx.universe().kill_rank(1, 0);  // a second kill is a no-op
+    while (!ctx.universe().mailbox(1).poisoned()) std::this_thread::yield();
+    am.unlisten();
+    EXPECT_EQ(poisoned.load(), 1);
+  });
+}
+
+TEST_P(MiniMpiConduit, ListenersThatSendDoNotDeadlock) {
+  // A handler that answers from inside on_message — as a completion does —
+  // sends from the delivering thread: the sender itself on an instant
+  // network, the delivery engine or shm drain on a paced one. Each reply
+  // also makes a self-send, delivered inline into the same listener.
+  constexpr int kRoundTrips = 200;
+  for (const std::int64_t latency_ns : {std::int64_t{0}, std::int64_t{20'000}}) {
+    UniverseOptions o = opts(2, 2);
+    o.network.latency_ns = latency_ns;
+    Universe::launch(o, [](RankContext& ctx) {
+      const Comm am = ctx.comm(1);
+      const Rank peer = 1 - ctx.rank();
+      constexpr Tag kBall = 1;
+      constexpr Tag kNote = 2;
+      std::mutex mutex;
+      std::condition_variable cv;
+      int last = -1;
+      int notes = 0;
+      am.listen(
+          [&](Envelope&& env) {
+            if (env.tag == kNote) {
+              std::lock_guard<std::mutex> lock(mutex);
+              ++notes;
+              return;
+            }
+            int v = 0;
+            std::memcpy(&v, env.payload.data(), sizeof v);
+            am.send(nullptr, 0, ctx.rank(), kNote);
+            if (v < 2 * kRoundTrips) {
+              const int next = v + 1;
+              am.send(&next, sizeof next, peer, kBall);
+            }
+            {
+              // max: on an instant network the reply chain recurses inside
+              // this send, so deeper balls may land before this one.
+              std::lock_guard<std::mutex> lock(mutex);
+              last = std::max(last, v);
+            }
+            cv.notify_all();
+          },
+          [] {});
+      if (ctx.rank() == 0) {
+        const int first = 0;
+        am.send(&first, sizeof first, peer, kBall);
+      }
+      // Rank 1 sees the even values, rank 0 the odd ones; the last ball
+      // (2 * kRoundTrips) lands on rank 1.
+      const int final_value = ctx.rank() == 1 ? 2 * kRoundTrips
+                                              : 2 * kRoundTrips - 1;
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return last == final_value; });
+      }
+      ctx.world().barrier();  // nobody sends on `am` any more
+      am.unlisten();
+      EXPECT_EQ(notes, kRoundTrips + (ctx.rank() == 1 ? 1 : 0));
+    });
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Conduits, MiniMpiConduit,
                          ::testing::Values(ConduitKind::InProcess,
                                            ConduitKind::Shm),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+Envelope message_on(ContextId context, int value) {
+  Envelope env;
+  env.context = context;
+  env.payload = Payload::copy_of(&value, sizeof value);
+  return env;
+}
+
+TEST(MiniMpiListener, PoisonCallsOnPoisonOnceAndDropsLaterMessages) {
+  Mailbox mb;
+  int messages = 0;
+  int poisons = 0;
+  mb.listen(3, [&](Envelope&&) { ++messages; }, [&] { ++poisons; });
+  mb.deliver(message_on(3, 1));
+  EXPECT_EQ(messages, 1);
+  mb.poison(4);
+  mb.poison(4);
+  EXPECT_EQ(poisons, 1);
+  mb.deliver(message_on(3, 2));
+  mb.deliver(message_on(0, 3));
+  EXPECT_EQ(messages, 1);
+  EXPECT_EQ(mb.unexpected_count(), 0u);
+  mb.unlisten();
+
+  // Listening on a mailbox that is already poisoned reports it at once.
+  int late_poisons = 0;
+  mb.listen(3, [](Envelope&&) {}, [&] { ++late_poisons; });
+  EXPECT_EQ(late_poisons, 1);
+  mb.unlisten();
+}
+
+TEST(MiniMpiListener, UnlistenWaitsForTheHandlerInFlight) {
+  Mailbox mb;
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> handler_done{false};
+  mb.listen(
+      1,
+      [&](Envelope&&) {
+        entered.store(true);
+        while (!release.load()) std::this_thread::yield();
+        handler_done.store(true);
+      },
+      [] {});
+  std::thread deliverer([&] { mb.deliver(message_on(1, 1)); });
+  while (!entered.load()) std::this_thread::yield();
+  std::atomic<bool> unlistened{false};
+  bool done_before_return = false;
+  std::thread closer([&] {
+    mb.unlisten();
+    done_before_return = handler_done.load();
+    unlistened.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(unlistened.load());
+  release.store(true);
+  closer.join();
+  deliverer.join();
+  EXPECT_TRUE(done_before_return);
+  // Unlistened, the context is matched again.
+  mb.deliver(message_on(1, 2));
+  EXPECT_EQ(mb.unexpected_count(), 1u);
+}
 
 TEST(MiniMpiConduitEnv, UnknownConduitNameIsRejected) {
   // Validated at Universe construction with a clear error (satellite of
